@@ -1,16 +1,19 @@
 """The chaos grid: seeded fault schedules replayed over collectives.
 
-Every case is ``(topology, op, profile, seed)``.  The schedule for a
-case is derived from ``random.Random(f"chaos/{case id}")`` — string
-seeding is hash-randomization-independent, so a case replays the exact
-same fault sequence on every machine (``--grid full`` reproduces the
-committed ``CHAOS_report.json`` bit-for-bit modulo hostname/timing
-metadata).
+Every case is ``(topology, op, profile, seed)``.  The grid is only a
+case list: programs, oracles, clean runs and fault schedules all come
+from :mod:`repro.chaos` (``make_program`` / ``mismatched_ranks`` /
+``clean_run`` / ``fault_schedule``), the same code the autopilot runs.
+The schedule for a case is drawn from
+``random.Random(f"chaos/{case id}")`` — string seeding is
+hash-randomization-independent, so a case replays the exact same fault
+sequence on every machine (``--grid full`` reproduces the committed
+``CHAOS_report.json`` bit-for-bit modulo timing metadata).
 
 Outcome taxonomy (docs/robustness.md):
 
 * ``ok``                — run completed and every delivered payload
-                          matches the clean-run oracle;
+                          matches the analytic oracle;
 * ``diagnosed``         — run raised a typed :class:`FaultDiagnosis`
                           naming the injected fault(s);
 * ``silent-corruption`` — run completed but a payload differs (NEVER
@@ -26,7 +29,7 @@ profile           schedule                      allowed
 ================  ============================  =====================
 baseline          empty (passivity probe)       ok, bit-identical time
 jitter            match-latency jitter          ok
-slowdown          link beta degradation         ok
+slowdown          one channel's beta degraded   ok
 link-perm         permanent link failure        ok | diagnosed
 link-transient    link outage that heals        ok | diagnosed
 crash             fail-stop node crash          ok | diagnosed
@@ -37,20 +40,18 @@ crash-shrink      crash + ULFM-style shrink()   ok (survivor oracle)
 from __future__ import annotations
 
 import random
-from typing import Dict, List, Optional, Tuple
+from dataclasses import replace
 
-import numpy as np
-
-from repro.core import api
+from repro.chaos.generator import ChaosCase, fault_schedule
+from repro.chaos.oracles import clean_run, make_program, mismatched_ranks
 from repro.core.communicator import Communicator
-from repro.core.partition import partition_sizes
-from repro.sim import (FaultDiagnosis, FaultSchedule, LinearArray,
-                       LinkFault, LinkSlowdown, Machine, Mesh2D,
-                       NodeCrash, SimulationLimitError, preset)
+from repro.sim import (FaultDiagnosis, Machine, SimulationLimitError,
+                       preset)
 
 N = 1024  # vector length (elements) for every collective
 
-TOPOLOGIES: Dict[str, Tuple[tuple, str]] = {
+#: name -> (topology description, machine preset)
+TOPOLOGIES = {
     "mesh4x6": (("mesh", 4, 6), "paragon"),
     "linear12": (("linear", 12), "unit"),
 }
@@ -59,6 +60,10 @@ OPS = ("bcast", "reduce", "allreduce", "collect", "reduce_scatter")
 
 PROFILES = ("baseline", "jitter", "slowdown", "link-perm",
             "link-transient", "crash", "crash-shrink")
+
+#: grid profile -> the shared :func:`fault_schedule` profile it draws
+_SCHEDULE = {"baseline": "none", "link-perm": "link-permanent",
+             "crash-shrink": "crash"}
 
 SEEDS = (101, 202, 303)
 
@@ -86,195 +91,27 @@ def case_id(topo: str, op: str, profile: str, seed: int) -> str:
     return f"{topo}/{op}/{profile}/{seed}"
 
 
-def _topo(kind: str, *dims):
-    return {"linear": LinearArray, "mesh": Mesh2D}[kind](*dims)
-
-
-def _vec(rank: int, n: int) -> np.ndarray:
-    base = np.arange(n, dtype=np.float64)
-    return base * (rank % 7 + 1) + rank
-
-
-# ----------------------------------------------------------------------
-# programs and oracles
-# ----------------------------------------------------------------------
-
-def _prog(op: str):
-    """The op over the full machine, auto-dispatched."""
+def shrink(case: ChaosCase, crash_t: float):
+    """Wait out the crash, shrink the world, run the case on survivors."""
     def prog(env):
-        p = env.nranks
-        if op == "bcast":
-            buf = _vec(1, N) if env.rank == 0 else None
-            out = yield from api.bcast(env, buf, root=0, total=N)
-        elif op == "reduce":
-            out = yield from api.reduce(env, _vec(env.rank, N), op="sum",
-                                        root=0)
-        elif op == "allreduce":
-            out = yield from api.allreduce(env, _vec(env.rank, N),
-                                           op="sum")
-        elif op == "collect":
-            sizes = partition_sizes(N, p)
-            out = yield from api.collect(env, _vec(env.rank,
-                                                   sizes[env.rank]),
-                                         sizes=sizes)
-        elif op == "reduce_scatter":
-            out = yield from api.reduce_scatter(env, _vec(env.rank, N),
-                                                op="sum")
-        else:  # pragma: no cover
-            raise ValueError(op)
-        return out
-    return prog
-
-
-def _shrink_prog(op: str, crash_t: float):
-    """Wait out the crash, shrink the world, run the op on survivors."""
-    def prog(env):
-        comm = Communicator.world(env)
         yield env.delay(2.0 * crash_t)
-        sub = comm.shrink()
-        p = sub.size
-        me = sub.rank
-        if op == "bcast":
-            buf = _vec(1, N) if me == 0 else None
-            out = yield from sub.bcast(buf, root=0, total=N)
-        elif op == "reduce":
-            out = yield from sub.reduce(_vec(env.rank, N), op="sum",
-                                        root=0)
-        elif op == "allreduce":
-            out = yield from sub.allreduce(_vec(env.rank, N), op="sum")
-        elif op == "collect":
-            sizes = partition_sizes(N, p)
-            out = yield from sub.allgather(_vec(env.rank, sizes[me]),
-                                           sizes=sizes)
-        elif op == "reduce_scatter":
-            out = yield from sub.reduce_scatter(_vec(env.rank, N),
-                                                op="sum")
-        else:  # pragma: no cover
-            raise ValueError(op)
-        return out
+        survivors = Communicator.world(env).shrink().group
+        return (yield from make_program(replace(case, group=survivors))(env))
     return prog
-
-
-def _oracle(op: str, members: List[int]) -> List[Optional[np.ndarray]]:
-    """Expected per-*member* results (logical order) for the op."""
-    p = len(members)
-    if op == "bcast":
-        x = _vec(1, N)
-        return [x for _ in members]
-    if op == "reduce":
-        total = np.sum([_vec(r, N) for r in members], axis=0)
-        return [total if i == 0 else None for i in range(p)]
-    if op == "allreduce":
-        total = np.sum([_vec(r, N) for r in members], axis=0)
-        return [total for _ in members]
-    if op == "collect":
-        sizes = partition_sizes(N, p)
-        full = np.concatenate([_vec(r, sz)
-                               for r, sz in zip(members, sizes)])
-        return [full for _ in members]
-    if op == "reduce_scatter":
-        total = np.sum([_vec(r, N) for r in members], axis=0)
-        offs = np.concatenate(([0], np.cumsum(partition_sizes(N, p))))
-        return [total[offs[i]:offs[i + 1]] for i in range(p)]
-    raise ValueError(op)  # pragma: no cover
-
-
-#: element-wise combines accumulate in strategy-dependent order, so a
-#: re-ranked schedule is correct within float tolerance; pure data
-#: movement must be bit-exact no matter what the network does
-_MOVEMENT_OPS = {"bcast", "collect"}
-
-
-def _payload_matches(op: str, got, want) -> bool:
-    if want is None or got is None:
-        # roots-only ops: a None on a non-root is part of the contract
-        return (got is None) == (want is None)
-    got = np.asarray(got)
-    if got.shape != np.asarray(want).shape:
-        return False
-    if op in _MOVEMENT_OPS:
-        return bool(np.array_equal(got, want))
-    return bool(np.allclose(got, want, rtol=1e-10, atol=0.0))
-
-
-# ----------------------------------------------------------------------
-# schedule builders
-# ----------------------------------------------------------------------
-
-def _build_schedule(profile: str, rng: random.Random, channels, nnodes,
-                    alpha: float, t_clean: float
-                    ) -> Tuple[FaultSchedule, Optional[float]]:
-    """Returns ``(schedule, crash_t)``; ``crash_t`` is set only for the
-    shrink profile (the program needs to outwait the crash)."""
-    deadline = 5000.0 * t_clean + (1 << 16) * alpha
-    if profile == "baseline":
-        return FaultSchedule(), None
-    if profile == "jitter":
-        return FaultSchedule(jitter=alpha * rng.uniform(0.5, 3.0),
-                             seed=rng.randrange(2**31),
-                             deadline=deadline), None
-    if profile == "slowdown":
-        events = tuple(
-            LinkSlowdown(t=rng.uniform(0.0, 0.5) * t_clean,
-                         u=u, v=v, factor=rng.uniform(2.0, 8.0))
-            for u, v in rng.sample(channels, 2))
-        return FaultSchedule(events=events, deadline=deadline), None
-    if profile == "link-perm":
-        u, v = rng.choice(channels)
-        return FaultSchedule(
-            events=(LinkFault(t=rng.uniform(0.0, 0.8) * t_clean,
-                              u=u, v=v),),
-            deadline=deadline), None
-    if profile == "link-transient":
-        u, v = rng.choice(channels)
-        return FaultSchedule(
-            events=(LinkFault(t=rng.uniform(0.0, 0.8) * t_clean,
-                              u=u, v=v,
-                              duration=rng.uniform(0.5, 1.5) * t_clean),),
-            max_retries=14, deadline=deadline), None
-    if profile == "crash":
-        return FaultSchedule(
-            events=(NodeCrash(t=rng.uniform(0.0, 0.9) * t_clean,
-                              node=rng.randrange(nnodes)),),
-            deadline=deadline), None
-    if profile == "crash-shrink":
-        crash_t = rng.uniform(0.2, 0.8) * t_clean
-        return FaultSchedule(
-            events=(NodeCrash(t=crash_t, node=rng.randrange(nnodes)),),
-            deadline=deadline), crash_t
-    raise ValueError(profile)  # pragma: no cover
-
-
-# ----------------------------------------------------------------------
-# case execution
-# ----------------------------------------------------------------------
-
-_CLEAN_CACHE: Dict[Tuple[str, str], Tuple[float, list]] = {}
-
-
-def _clean_run(topo_name: str, op: str):
-    """Clean-run wall clock + results for ``(topology, op)``, cached."""
-    key = (topo_name, op)
-    if key not in _CLEAN_CACHE:
-        spec, params_name = TOPOLOGIES[topo_name]
-        machine = Machine(_topo(*spec), preset(params_name))
-        run = machine.run(_prog(op))
-        _CLEAN_CACHE[key] = (run.time, run.results)
-    return _CLEAN_CACHE[key]
 
 
 def run_case(topo_name: str, op: str, profile: str, seed: int) -> dict:
     """Execute one chaos case and classify the outcome."""
     spec, params_name = TOPOLOGIES[topo_name]
+    case = ChaosCase(topo=spec, params=params_name, op=op, n=N,
+                     dtype="float64", group=None,
+                     profile=_SCHEDULE.get(profile, profile))
+    topo = case.topology()
     params = preset(params_name)
-    topo = _topo(*spec)
-    nnodes = topo.nnodes
-    channels = sorted(set(topo.channels()))
-    t_clean, clean_results = _clean_run(topo_name, op)
-
+    t_clean, _ = clean_run(case)
     rng = random.Random(f"chaos/{case_id(topo_name, op, profile, seed)}")
-    schedule, crash_t = _build_schedule(profile, rng, channels, nnodes,
-                                        params.alpha, t_clean)
+    schedule = fault_schedule(case.profile, rng, topo, params.alpha,
+                              t_clean)
     crashed = schedule.crashed_nodes()
 
     record = {
@@ -284,18 +121,15 @@ def run_case(topo_name: str, op: str, profile: str, seed: int) -> dict:
         "t_clean": t_clean,
     }
 
-    machine = Machine(topo, params)
     if profile == "crash-shrink":
-        prog = _shrink_prog(op, crash_t)
-        members = [r for r in range(nnodes) if r not in crashed]
-        oracle = _oracle(op, members)
+        prog = shrink(case, schedule.events[0].t)
+        case = replace(case, group=tuple(r for r in range(topo.nnodes)
+                                         if r not in crashed))
     else:
-        prog = _prog(op)
-        members = list(range(nnodes))
-        oracle = clean_results
+        prog = make_program(case)
 
     try:
-        run = machine.run(prog, faults=schedule)
+        run = Machine(topo, params).run(prog, faults=schedule)
     except FaultDiagnosis as diag:
         record["outcome"] = "diagnosed"
         record["diagnosis"] = str(diag).splitlines()[0]
@@ -310,12 +144,7 @@ def run_case(topo_name: str, op: str, profile: str, seed: int) -> dict:
         return record
 
     record["time"] = run.time
-    mismatches = []
-    for i, member in enumerate(members):
-        if member in crashed:
-            continue  # a crashed rank's result is undefined
-        if not _payload_matches(op, run.results[member], oracle[i]):
-            mismatches.append(member)
+    mismatches = mismatched_ranks(case, run.results, crashed=crashed)
     if mismatches:
         record["outcome"] = "silent-corruption"
         record["corrupt_ranks"] = mismatches

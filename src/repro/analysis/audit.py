@@ -10,7 +10,12 @@ performance (LogP/PLogP fittings, Barchet-Estefanel & Mounié): for a
 grid of (operation, group shape, vector length) cells it
 
 1. prices **every** ranked candidate at the exact vector length,
-2. *simulates* every candidate (explicit ``algorithm=strategy``), and
+2. *measures* every candidate (explicit ``algorithm=strategy``) with
+   the backend's measure function — :func:`measure_sim` on the
+   simulator, :func:`measure_runtime` on real processes — running the
+   shared case program of :mod:`repro.chaos.oracles` and checking every
+   candidate's payloads against its analytic oracle, so a fast but
+   wrong strategy fails the gate and never counts as the best, and
 3. reports two quantities per cell:
 
    * **model error** — predicted/measured ratio per strategy (how well
@@ -20,13 +25,17 @@ grid of (operation, group shape, vector length) cells it
      best candidate.  Regret 1.0 means the heuristic found the optimum;
      the CI gate fails when the median regret exceeds 1.05.
 
-The sweep also embeds the conflict-freedom verdicts of the four
+The simulator sweep also embeds the conflict-freedom verdicts of the four
 building blocks (:func:`repro.obs.audit.verify_building_blocks`) and an
 alpha/beta drift fit (:func:`repro.obs.audit.fit_drift`), producing one
 self-contained ``AUDIT_model.json`` artifact::
 
     python -m repro.analysis.report --audit [--grid smoke|full]
         [--params paragon] [--out AUDIT_model.json] [--check]
+
+``--backend runtime`` runs the same sweep on real processes under this
+host's fitted profile (``AUDIT_runtime.json``); the chaos autopilot's
+regret check is the same sweep again (:func:`audit_case`).
 
 Group shapes deliberately include non-powers-of-two (p = 7, 12, 30) and
 mesh-aligned groups (whole submeshes, rows, columns), where the
@@ -39,10 +48,14 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import partial
 from statistics import median
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
+
+from ..chaos.generator import ChaosCase
+from ..chaos.oracles import make_program, mismatched_ranks
 
 #: the default gate: median regret above this fails ``--check``
 MAX_MEDIAN_REGRET = 1.05
@@ -94,11 +107,13 @@ CONFLICT_PS = (7, 12)
 
 @dataclass(frozen=True)
 class CandidateResult:
-    """One strategy of one cell: predicted vs simulated."""
+    """One strategy of one cell: predicted vs measured, oracle-checked."""
 
     strategy: str
     predicted: float
     measured: float
+    #: member ranks whose payload violated the analytic oracle
+    wrong_ranks: Tuple[int, ...] = ()
 
     @property
     def ratio(self) -> float:
@@ -106,10 +121,13 @@ class CandidateResult:
         return self.predicted / self.measured if self.measured > 0 \
             else math.nan
 
-    def to_json(self) -> Dict[str, float]:
-        return {"strategy": self.strategy, "predicted": self.predicted,
-                "measured": self.measured,
-                "ratio": None if math.isnan(self.ratio) else self.ratio}
+    def to_json(self) -> Dict[str, object]:
+        out = {"strategy": self.strategy, "predicted": self.predicted,
+               "measured": self.measured,
+               "ratio": None if math.isnan(self.ratio) else self.ratio}
+        if self.wrong_ranks:
+            out["wrong_ranks"] = list(self.wrong_ranks)
+        return out
 
 
 @dataclass(frozen=True)
@@ -122,7 +140,7 @@ class CellResult:
     n: int
     mesh_shape: Optional[Tuple[int, int]]
     chosen: str                 #: strategy auto dispatch resolves to
-    best: str                   #: measured-fastest candidate
+    best: str                   #: measured-fastest correct candidate
     chosen_measured: float
     best_measured: float
     candidates: Tuple[CandidateResult, ...]
@@ -145,103 +163,126 @@ class CellResult:
                 "candidates": [c.to_json() for c in self.candidates]}
 
 
-def cell_environment(shape: Tuple):
-    """(topology, group, p) of a sweep-grid shape."""
-    from ..sim.topology import LinearArray, Mesh2D
+def cell_case(operation: str, shape: Tuple, n: int) -> ChaosCase:
+    """A sweep-grid cell as a fault-free float64 collective case.
+
+    The case's ``params`` label is left empty: the measure function
+    carries the backend's constants.
+    """
     kind = shape[0]
     if kind == "line":
-        return LinearArray(shape[1]), None, shape[1]
-    if kind not in ("mesh", "row", "col"):
+        topo, group = ("linear", shape[1]), None
+    elif kind in ("mesh", "row", "col"):
+        R, C = shape[1], shape[2]
+        topo = ("mesh", R, C)
+        group = {"mesh": None,
+                 "row": tuple((R // 2) * C + c for c in range(C)),
+                 "col": tuple(r * C + C // 2 for r in range(R))}[kind]
+    else:
         raise KeyError(f"unknown sweep shape {shape!r}")
-    R, C = shape[1], shape[2]
-    topo = Mesh2D(R, C)
-    if kind == "mesh":
-        return topo, None, R * C
-    if kind == "row":
-        r = R // 2
-        return topo, [r * C + c for c in range(C)], C
-    if kind == "col":
-        c = C // 2
-        return topo, [r * C + c for r in range(R)], R
-    raise KeyError(f"unknown sweep shape {shape!r}")
+    return ChaosCase(topo=topo, params="", op=operation, n=n,
+                     dtype="float64", group=group, profile="none")
 
 
-def _cell_program(operation: str, n: int, algorithm, group):
-    """Rank program running one collective with a pinned algorithm."""
-    from ..core import api
-    from ..core.partition import partition_sizes
-
-    def prog(env):
-        g = list(group) if group is not None else None
-        if g is not None and env.rank not in g:
-            return None
-        me = g.index(env.rank) if g is not None else env.rank
-        size = len(g) if g is not None else env.nranks
-        if operation == "bcast":
-            buf = np.arange(n, dtype=np.float64) if me == 0 else None
-            yield from api.bcast(env, buf, root=0, total=n, group=g,
-                                 algorithm=algorithm)
-        elif operation == "collect":
-            sizes = partition_sizes(n, size)
-            yield from api.collect(env, np.full(sizes[me], float(me)),
-                                   sizes=sizes, group=g,
-                                   algorithm=algorithm)
-        else:
-            vec = np.arange(n, dtype=np.float64) + me
-            fn = getattr(api, operation)
-            yield from fn(env, vec, group=g, algorithm=algorithm)
-        return None
-    return prog
-
-
-def measure_cell(operation: str, shape: Tuple, n: int, params,
-                 algorithm) -> float:
-    """Simulated time of one cell under one pinned algorithm."""
+def measure_sim(case: ChaosCase, algorithm, params):
+    """Simulated ``(seconds, per-rank results)`` of one pinned strategy."""
     from ..sim.machine import Machine
-    topo, group, _ = cell_environment(shape)
-    machine = Machine(topo, params)
-    return machine.run(_cell_program(operation, n, algorithm, group)).time
+    run = Machine(case.topology(), params).run(
+        make_program(case, algorithm))
+    return run.time, run.results
 
 
-def audit_cell(operation: str, shape: Tuple, n: int, params) -> CellResult:
-    """Price and simulate every ranked candidate of one cell."""
-    from ..core.groups import classify
+def measure_runtime(case: ChaosCase, algorithm, params, *,
+                    transport: str = "local", reps: int = 3,
+                    trials: int = 3, timeout: float = 120.0):
+    """Wall ``(seconds, per-rank results)`` of one pinned strategy on
+    real processes.
+
+    Each trial runs the case's program ``reps`` times after a group
+    barrier, wall clock around the loop (process spawn and mesh wiring
+    excluded), and keeps the slowest member's mean per rep; the trials
+    reduce by median.  Results are the last trial's payloads.
+    """
+    import time
+
+    from ..core import api
+    from ..runtime.launch import ProcessMachine
+    from .calibrate import aggregate_trials
+
+    machine = ProcessMachine(topology=case.topology(), params=params,
+                             transport=transport, timeout=timeout)
+    inner = make_program(case, algorithm)
+    group = list(case.group) if case.group is not None else None
+
+    def timed(env):
+        if group is not None and env.rank not in group:
+            return None
+        yield from api.barrier(env, group=group)
+        t0 = time.perf_counter()
+        for _ in range(reps):
+            out = yield from inner(env)
+        return (time.perf_counter() - t0) / reps, out
+
+    raw = []
+    for _ in range(trials):
+        res = machine.run(timed)
+        raw.append(max(r[0] for r in res.results if r is not None))
+    results = [r[1] if r is not None else None for r in res.results]
+    return aggregate_trials(raw), results
+
+
+def audit_case(case: ChaosCase, params, measure=measure_sim,
+               shape: Optional[Tuple] = None) -> CellResult:
+    """Price and measure every ranked candidate of one case.
+
+    ``measure(case, strategy, params)`` returns ``(seconds, per-rank
+    results)`` on its backend; every candidate's results are checked
+    against the analytic oracle, and a candidate that delivers a wrong
+    payload can never be the measured best.  The regret column charges
+    the production path: ``chosen`` is what ``algorithm="auto"``
+    dispatch resolves (bucketed pricing) under the same ``params``.
+    """
+    from ..core.api import group_mesh_shape
     from ..core.selection import selector_for
-    from ..core.strategy import Strategy
 
-    topo, group, p = cell_environment(shape)
-    g = tuple(group) if group is not None else tuple(range(topo.nnodes))
-    struct = classify(g, topo)
-    mesh_shape = struct.shape \
-        if struct.is_mesh_aligned and struct.shape is not None else None
-
-    sel = selector_for(params)
+    members = case.members()
+    p = len(members)
+    mshape = group_mesh_shape(members, case.topology())
+    sel = selector_for(params, itemsize=np.dtype(case.dtype).itemsize)
     # exact-length pricing for the model-error ratios ...
-    ranked = sel.ranked(operation, p, n, mesh_shape)
+    candidates = [(c.strategy, c.cost)
+                  for c in sel.ranked(case.op, p, case.n, mshape)]
     # ... but the *chosen* strategy is what dispatch actually resolves
     # (bucketed), so regret charges the production path, bucketing
     # included.
-    chosen = sel.ranked_bucketed(operation, p, n, mesh_shape)[0]
+    chosen = sel.ranked_bucketed(case.op, p, case.n, mshape)[0]
+    chosen_s = str(chosen.strategy)
+    if chosen_s not in {str(s) for s, _ in candidates}:
+        candidates.append((chosen.strategy, chosen.cost))  # bucket-only
 
     results: List[CandidateResult] = []
-    for c in ranked:
-        t = measure_cell(operation, shape, n, params, c.strategy)
+    for strategy, cost in candidates:
+        t, out = measure(case, strategy, params)
         results.append(CandidateResult(
-            strategy=str(c.strategy), predicted=c.cost, measured=t))
+            strategy=str(strategy), predicted=cost, measured=t,
+            wrong_ranks=tuple(mismatched_ranks(case, out))))
     by_strategy = {r.strategy: r for r in results}
-    chosen_s = str(chosen.strategy)
-    if chosen_s not in by_strategy:   # defensive: bucket-only candidate
-        t = measure_cell(operation, shape, n, params, chosen.strategy)
-        by_strategy[chosen_s] = CandidateResult(
-            strategy=chosen_s, predicted=chosen.cost, measured=t)
-        results.append(by_strategy[chosen_s])
-    best = min(results, key=lambda r: (r.measured, r.strategy))
+    correct = [r for r in results if not r.wrong_ranks] or results
+    best = min(correct, key=lambda r: (r.measured, r.strategy))
     return CellResult(
-        operation=operation, shape=shape, p=p, n=n,
-        mesh_shape=mesh_shape, chosen=chosen_s, best=best.strategy,
+        operation=case.op, shape=shape if shape is not None else case.topo,
+        p=p, n=case.n, mesh_shape=mshape, chosen=chosen_s,
+        best=best.strategy,
         chosen_measured=by_strategy[chosen_s].measured,
         best_measured=best.measured,
         candidates=tuple(results))
+
+
+def audit_cell(operation: str, shape: Tuple, n: int, params,
+               measure=measure_sim) -> CellResult:
+    """:func:`audit_case` of one sweep-grid cell."""
+    return audit_case(cell_case(operation, shape, n), params, measure,
+                      shape=shape)
 
 
 def grid_tasks(grid: Dict[str, tuple]) -> List[Tuple[str, Tuple, int]]:
@@ -254,170 +295,33 @@ def grid_tasks(grid: Dict[str, tuple]) -> List[Tuple[str, Tuple, int]]:
             for n in grid["lengths"]]
 
 
-def run_sweep(grid: Dict[str, tuple], params,
-              progress=None) -> List[CellResult]:
-    """All cells of a grid; ``progress(msg)`` is called per cell."""
-    cells: List[CellResult] = []
-    for operation, shape, n in grid_tasks(grid):
-        cell = audit_cell(operation, shape, n, params)
-        if progress is not None:
-            progress(f"{operation} {shape} n={n}: "
-                     f"{len(cell.candidates)} candidates, "
-                     f"regret={cell.regret:.3f}")
-        cells.append(cell)
-    return cells
+def _sweep_cell(task) -> CellResult:
+    """Picklable worker: ``audit_cell(*task)``."""
+    return audit_cell(*task)
 
 
-def _sweep_cell(task: Tuple[str, Tuple, int, str]) -> CellResult:
-    """Picklable worker for the parallel sweep: one grid cell, with
-    the params rebuilt from the preset name inside the worker."""
-    operation, shape, n, params_name = task
-    from ..sim.params import preset
-    return audit_cell(operation, shape, n, preset(params_name))
+def run_sweep(grid: Dict[str, tuple], params, measure=measure_sim,
+              progress=None, workers: Optional[int] = None
+              ) -> List[CellResult]:
+    """All cells of a grid; ``progress(msg)`` is called per cell.
 
-
-def run_sweep_parallel(grid: Dict[str, tuple], params_name: str,
-                       workers: Optional[int] = None,
-                       progress=None) -> List[CellResult]:
-    """Shard :func:`run_sweep` over worker processes.
-
-    Every cell is a pure function of ``(operation, shape, n,
-    params_name)`` — each worker builds its own machine — and the
-    results are merged in canonical sweep order, so the output is
-    identical to the serial :func:`run_sweep` for any worker count
-    (the determinism contract pinned by tests/analysis/test_parallel.py).
+    ``workers`` > 1 shards the cells over processes (simulator only:
+    each worker builds its own machine).  Every cell is a pure function
+    of its task and the results merge in canonical sweep order, so the
+    output is identical to the serial sweep for any worker count (the
+    determinism contract pinned by tests/analysis/test_parallel.py).
     """
-    from .parallel import parallel_map
-    tasks = [(operation, shape, n, params_name)
+    tasks = [(operation, shape, n, params, measure)
              for operation, shape, n in grid_tasks(grid)]
-    cells = parallel_map(_sweep_cell, tasks, workers=workers)
-    if progress is not None:
-        for cell in cells:
-            progress(f"{cell.operation} {cell.shape} n={cell.n}: "
-                     f"{len(cell.candidates)} candidates, "
-                     f"regret={cell.regret:.3f}")
-    return cells
-
-
-# ----------------------------------------------------------------------
-# runtime backend: regret measured on real processes
-# ----------------------------------------------------------------------
-
-
-def _timed_cell_program(operation: str, n: int, algorithm, group,
-                        reps: int):
-    """Rank program running one pinned collective ``reps`` times, wall
-    clock around the loop (after a group barrier), excluding process
-    spawn and mesh wiring.  Member ranks return mean seconds per rep."""
-    import time as _time
-
-    from ..core import api
-    from ..core.partition import partition_sizes
-
-    def prog(env):
-        g = list(group) if group is not None else None
-        if g is not None and env.rank not in g:
-            return None
-        me = g.index(env.rank) if g is not None else env.rank
-        size = len(g) if g is not None else env.nranks
-        sizes = partition_sizes(n, size)
-        yield from api.barrier(env, group=g)
-        t0 = _time.perf_counter()
-        for _ in range(reps):
-            if operation == "bcast":
-                buf = (np.arange(n, dtype=np.float64) if me == 0
-                       else None)
-                yield from api.bcast(env, buf, root=0, total=n, group=g,
-                                     algorithm=algorithm)
-            elif operation == "collect":
-                yield from api.collect(env, np.full(sizes[me], float(me)),
-                                       sizes=sizes, group=g,
-                                       algorithm=algorithm)
-            else:
-                vec = np.arange(n, dtype=np.float64) + me
-                fn = getattr(api, operation)
-                yield from fn(env, vec, group=g, algorithm=algorithm)
-        return (_time.perf_counter() - t0) / reps
-    return prog
-
-
-def measure_cell_runtime(machine, operation: str, n: int, algorithm,
-                         group, reps: int = 3, trials: int = 3,
-                         aggregate: str = "median") -> float:
-    """Measured wall seconds of one cell on real processes: per trial
-    the slowest member rank, reduced deterministically over trials."""
-    from .calibrate import aggregate_trials
-    raw = []
-    for _ in range(trials):
-        res = machine.run(_timed_cell_program(operation, n, algorithm,
-                                              group, reps))
-        raw.append(max(t for t in res.results if t is not None))
-    return aggregate_trials(raw, aggregate)
-
-
-def audit_cell_runtime(operation: str, shape: Tuple, n: int, params,
-                       transport: str = "local", reps: int = 3,
-                       trials: int = 3, timeout: float = 120.0
-                       ) -> CellResult:
-    """Price every ranked candidate with the fitted constants and
-    *execute* each over :class:`~repro.runtime.launch.ProcessMachine`.
-
-    The regret column charges exactly the production path: ``chosen``
-    is what ``algorithm="auto"`` dispatch resolves (bucketed pricing)
-    under the same fitted params the launcher now auto-loads.
-    """
-    from ..core.groups import classify
-    from ..core.selection import selector_for
-    from ..runtime.launch import ProcessMachine
-
-    topo, group, p = cell_environment(shape)
-    g = tuple(group) if group is not None else tuple(range(topo.nnodes))
-    struct = classify(g, topo)
-    mesh_shape = struct.shape \
-        if struct.is_mesh_aligned and struct.shape is not None else None
-
-    sel = selector_for(params)
-    ranked = sel.ranked(operation, p, n, mesh_shape)
-    chosen = sel.ranked_bucketed(operation, p, n, mesh_shape)[0]
-
-    machine = ProcessMachine(topology=topo, params=params,
-                             transport=transport, timeout=timeout)
-    results: List[CandidateResult] = []
-    for c in ranked:
-        t = measure_cell_runtime(machine, operation, n, c.strategy,
-                                 group, reps=reps, trials=trials)
-        results.append(CandidateResult(
-            strategy=str(c.strategy), predicted=c.cost, measured=t))
-    by_strategy = {r.strategy: r for r in results}
-    chosen_s = str(chosen.strategy)
-    if chosen_s not in by_strategy:   # defensive: bucket-only candidate
-        t = measure_cell_runtime(machine, operation, n, chosen.strategy,
-                                 group, reps=reps, trials=trials)
-        by_strategy[chosen_s] = CandidateResult(
-            strategy=chosen_s, predicted=chosen.cost, measured=t)
-        results.append(by_strategy[chosen_s])
-    best = min(results, key=lambda r: (r.measured, r.strategy))
-    return CellResult(
-        operation=operation, shape=shape, p=p, n=n,
-        mesh_shape=mesh_shape, chosen=chosen_s, best=best.strategy,
-        chosen_measured=by_strategy[chosen_s].measured,
-        best_measured=best.measured,
-        candidates=tuple(results))
-
-
-def run_sweep_runtime(grid: Dict[str, tuple], params,
-                      transport: str = "local", reps: int = 3,
-                      trials: int = 3, progress=None
-                      ) -> List[CellResult]:
-    """All cells of a grid, measured on real processes (serial: each
-    cell already spawns a process group per candidate trial)."""
+    if workers is not None and workers != 1:
+        from .parallel import parallel_map
+        done = parallel_map(_sweep_cell, tasks, workers=workers)
+    else:
+        done = map(_sweep_cell, tasks)  # lazy: progress as cells finish
     cells: List[CellResult] = []
-    for operation, shape, n in grid_tasks(grid):
-        cell = audit_cell_runtime(operation, shape, n, params,
-                                  transport=transport, reps=reps,
-                                  trials=trials)
+    for cell in done:
         if progress is not None:
-            progress(f"{operation} {shape} n={n}: "
+            progress(f"{cell.operation} {cell.shape} n={cell.n}: "
                      f"{len(cell.candidates)} candidates, "
                      f"regret={cell.regret:.3f}")
         cells.append(cell)
@@ -443,8 +347,9 @@ def build_runtime_audit(grid_name="smoke", transport: str = "local",
         profile = ensure_profile(transport=transport, progress=progress)
     grid = (RUNTIME_GRIDS[grid_name] if isinstance(grid_name, str)
             else grid_name)
-    cells = run_sweep_runtime(grid, profile.params, transport=transport,
-                              reps=reps, trials=trials, progress=progress)
+    measure = partial(measure_runtime, transport=transport, reps=reps,
+                      trials=trials)
+    cells = run_sweep(grid, profile.params, measure, progress=progress)
     return {
         "backend": "runtime",
         "transport": transport,
@@ -455,76 +360,6 @@ def build_runtime_audit(grid_name="smoke", transport: str = "local",
         "model_error": _ratio_stats(cells),
         "cells": [c.to_json() for c in cells],
     }
-
-
-def check_runtime(report: Dict[str, object],
-                  max_median_regret: float = RUNTIME_MAX_MEDIAN_REGRET
-                  ) -> List[str]:
-    """Gate a runtime audit; returns failure messages (empty = pass)."""
-    failures: List[str] = []
-    regret = report["regret"]
-    if regret.get("count"):
-        if regret["median"] > max_median_regret:
-            failures.append(
-                f"median runtime selection regret {regret['median']:.4f} "
-                f"exceeds {max_median_regret:.4f}")
-    else:
-        failures.append("runtime regret sweep produced no cells")
-    return failures
-
-
-def render_runtime(report: Dict[str, object]) -> str:
-    """Human-readable summary of a runtime audit report."""
-    prof = report["profile"]
-    p = prof["params"]
-    lines = [f"runtime audit [{report['transport']}] "
-             f"grid={report['grid']} host={prof['host']}",
-             f"  fitted: alpha={p['alpha'] * 1e6:.1f}us "
-             f"beta={p['beta'] * 1e9:.3f}ns/B "
-             f"gamma={p['gamma'] * 1e9:.2f}ns/elem "
-             f"overhead={p['sw_overhead'] * 1e6:.2f}us"]
-    reg, err = report["regret"], report["model_error"]
-    if reg.get("count"):
-        lines.append(
-            f"  regret: median={reg['median']:.4f} max={reg['max']:.4f} "
-            f"({reg['optimal_cells']}/{reg['count']} cells optimal)")
-    if err.get("count"):
-        lines.append(
-            f"  model error (pred/meas): median={err['median']:.4f} "
-            f"range [{err['min']:.4f}, {err['max']:.4f}] over "
-            f"{err['count']} strategy timings")
-    worst = sorted((c for c in report["cells"]
-                    if c["regret"] is not None),
-                   key=lambda c: -c["regret"])[:5]
-    for c in worst:
-        lines.append(
-            f"  cell {c['operation']} {tuple(c['shape'])} n={c['n']}: "
-            f"chose {c['chosen']} ({c['chosen_measured']:.3g}s), best "
-            f"{c['best']} ({c['best_measured']:.3g}s), "
-            f"regret={c['regret']:.4f}")
-    return "\n".join(lines)
-
-
-def main_runtime(grid: str = "smoke", transport: str = "local",
-                 out_path: str = "AUDIT_runtime.json",
-                 do_check: bool = False, verbose: bool = True,
-                 reps: int = 3, trials: int = 3) -> int:
-    """CLI body for ``--audit --backend runtime``."""
-    progress = print if verbose else None
-    report = build_runtime_audit(grid, transport=transport, reps=reps,
-                                 trials=trials, progress=progress)
-    write_report(report, out_path)
-    print(render_runtime(report))
-    print(f"wrote {out_path}")
-    if do_check:
-        failures = check_runtime(report)
-        for f in failures:
-            print(f"FAIL: {f}")
-        if failures:
-            return 1
-        print(f"check passed: median runtime regret <= "
-              f"{RUNTIME_MAX_MEDIAN_REGRET}")
-    return 0
 
 
 # ----------------------------------------------------------------------
@@ -570,11 +405,7 @@ def build_audit(grid_name="smoke", params_name: str = "paragon",
 
     params = preset(params_name)
     grid = GRIDS[grid_name] if isinstance(grid_name, str) else grid_name
-    if workers is not None and workers != 1:
-        cells = run_sweep_parallel(grid, params_name, workers=workers,
-                                   progress=progress)
-    else:
-        cells = run_sweep(grid, params, progress=progress)
+    cells = run_sweep(grid, params, progress=progress, workers=workers)
 
     verdicts = []
     for p in CONFLICT_PS:
@@ -609,21 +440,34 @@ def build_audit(grid_name="smoke", params_name: str = "paragon",
 
 
 def check(report: Dict[str, object],
-          max_median_regret: float = MAX_MEDIAN_REGRET) -> List[str]:
-    """Gate a report; returns failure messages (empty = pass).
+          max_median_regret: Optional[float] = None) -> List[str]:
+    """Gate a report of either backend; returns failure messages
+    (empty = pass).
 
-    Fails on any violated conflict-freedom verdict and on median
-    selection regret above ``max_median_regret`` — the two invariants
-    the library's whole selection story rests on.
+    Fails on any candidate whose payload violated the oracle, on any
+    violated conflict-freedom verdict (simulator reports), and on median
+    selection regret above ``max_median_regret`` (default: the report's
+    own ``max_median_regret``) — the invariants the library's whole
+    selection story rests on.
     """
     failures: List[str] = []
-    for v in report["conflict_freedom"]:
+    for cell in report.get("cells", ()):
+        for c in cell["candidates"]:
+            if c.get("wrong_ranks"):
+                failures.append(
+                    f"cell {cell['operation']} {tuple(cell['shape'])} "
+                    f"n={cell['n']}: strategy {c['strategy']} returned "
+                    f"wrong payloads on ranks {c['wrong_ranks']}")
+    for v in report.get("conflict_freedom", ()):
         if not v["ok"]:
             chans = ", ".join(str(tuple(c["channel"]))
                               for c in v["contended"])
             failures.append(
                 f"conflict-freedom violated: {v['block']} p={v['p']} on "
                 f"{v['topology']} shared {chans}")
+    if max_median_regret is None:
+        max_median_regret = report.get("max_median_regret",
+                                       MAX_MEDIAN_REGRET)
     regret = report["regret"]
     if regret.get("count"):
         if regret["median"] > max_median_regret:
@@ -636,8 +480,18 @@ def check(report: Dict[str, object],
 
 
 def render(report: Dict[str, object]) -> str:
-    """Human-readable summary of an audit report."""
-    lines = [f"model audit [{report['params']}] grid={report['grid']}"]
+    """Human-readable summary of an audit report of either backend."""
+    if report.get("backend") == "runtime":
+        prof = report["profile"]
+        p = prof["params"]
+        lines = [f"runtime audit [{report['transport']}] "
+                 f"grid={report['grid']} host={prof['host']}",
+                 f"  fitted: alpha={p['alpha'] * 1e6:.1f}us "
+                 f"beta={p['beta'] * 1e9:.3f}ns/B "
+                 f"gamma={p['gamma'] * 1e9:.2f}ns/elem "
+                 f"overhead={p['sw_overhead'] * 1e6:.2f}us"]
+    else:
+        lines = [f"model audit [{report['params']}] grid={report['grid']}"]
     reg, err = report["regret"], report["model_error"]
     if reg.get("count"):
         lines.append(
@@ -657,16 +511,19 @@ def render(report: Dict[str, object]) -> str:
             f"chose {c['chosen']} ({c['chosen_measured']:.3g}s), best "
             f"{c['best']} ({c['best_measured']:.3g}s), "
             f"regret={c['regret']:.4f}")
-    bad = [v for v in report["conflict_freedom"] if not v["ok"]]
-    lines.append(
-        f"  conflict-freedom: {len(report['conflict_freedom'])} verdicts, "
-        + ("all conflict-free" if not bad
-           else f"{len(bad)} VIOLATED ({', '.join(v['block'] for v in bad)})"))
-    d = report["drift"]
-    lines.append(
-        f"  drift: alpha fit {d['alpha_fit']:.4g} vs configured "
-        f"{d['alpha_configured']:.4g}, beta fit {d['beta_fit']:.4g} vs "
-        f"{d['beta_configured']:.4g} ({d['samples']} samples)")
+    if "conflict_freedom" in report:
+        bad = [v for v in report["conflict_freedom"] if not v["ok"]]
+        lines.append(
+            f"  conflict-freedom: {len(report['conflict_freedom'])} "
+            "verdicts, " + ("all conflict-free" if not bad else
+                            f"{len(bad)} VIOLATED "
+                            f"({', '.join(v['block'] for v in bad)})"))
+    if "drift" in report:
+        d = report["drift"]
+        lines.append(
+            f"  drift: alpha fit {d['alpha_fit']:.4g} vs configured "
+            f"{d['alpha_configured']:.4g}, beta fit {d['beta_fit']:.4g} "
+            f"vs {d['beta_configured']:.4g} ({d['samples']} samples)")
     return "\n".join(lines)
 
 
@@ -678,12 +535,25 @@ def write_report(report: Dict[str, object], path: str) -> str:
 
 
 def main(grid: str = "smoke", params_name: str = "paragon",
-         out_path: str = "AUDIT_model.json", do_check: bool = False,
-         verbose: bool = True, workers: Optional[int] = None) -> int:
-    """CLI body for ``python -m repro.analysis.report --audit``."""
+         out_path: Optional[str] = None, do_check: bool = False,
+         verbose: bool = True, workers: Optional[int] = None,
+         backend: str = "sim", transport: str = "local", reps: int = 3,
+         trials: int = 3) -> int:
+    """CLI body for ``python -m repro.analysis.report --audit``.
+
+    ``backend="sim"`` measures candidates on the simulator under the
+    ``params_name`` preset (``AUDIT_model.json``); ``"runtime"`` on real
+    processes under this host's fitted profile (``AUDIT_runtime.json``).
+    """
     progress = print if verbose else None
-    report = build_audit(grid, params_name, progress=progress,
-                         workers=workers)
+    if backend == "runtime":
+        report = build_runtime_audit(grid, transport=transport, reps=reps,
+                                     trials=trials, progress=progress)
+    else:
+        report = build_audit(grid, params_name, progress=progress,
+                             workers=workers)
+    out_path = out_path or ("AUDIT_runtime.json" if backend == "runtime"
+                            else "AUDIT_model.json")
     write_report(report, out_path)
     print(render(report))
     print(f"wrote {out_path}")
@@ -693,6 +563,9 @@ def main(grid: str = "smoke", params_name: str = "paragon",
             print(f"FAIL: {f}")
         if failures:
             return 1
-        print(f"check passed: median regret <= {MAX_MEDIAN_REGRET}, "
-              f"all building blocks conflict-free")
+        print(f"check passed: median regret <= "
+              f"{report['max_median_regret']}, every candidate matches "
+              f"the oracle"
+              + (", all building blocks conflict-free"
+                 if "conflict_freedom" in report else ""))
     return 0

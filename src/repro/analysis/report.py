@@ -177,34 +177,20 @@ def run_traced_scenario(op: str, p: int, nbytes: int,
         raise SystemExit(f"unknown op {op!r}; known: {', '.join(TRACE_OPS)}")
     n = max(nbytes // 8, 1)
     machine = Machine(LinearArray(p), preset(params_name))
-    return machine.run(_trace_program(op, n, algorithm), trace=True,
+    return machine.run(_trace_program(op, p, n, algorithm), trace=True,
                        metrics=True)
 
 
-def _trace_program(op: str, n: int, algorithm: str):
-    """The SPMD generator the --trace scenarios run (both backends)."""
-    import numpy as np
+def _trace_program(op: str, p: int, n: int, algorithm: str):
+    """The --trace scenario's rank program (both backends): the shared
+    collective-case program of :mod:`repro.chaos.oracles` over all
+    ``p`` ranks of a linear array."""
+    from ..chaos.generator import ChaosCase
+    from ..chaos.oracles import make_program
 
-    from ..core import api
-
-    def program(env):
-        if op == "bcast":
-            buf = np.arange(n, dtype=np.float64) if env.rank == 0 else None
-            yield from api.bcast(env, buf, root=0, total=n,
-                                 algorithm=algorithm)
-        else:
-            vec = np.full(n, float(env.rank + 1))
-            if op == "collect":
-                block = np.array_split(vec, env.nranks)[env.rank]
-                sizes = [len(b) for b in np.array_split(vec, env.nranks)]
-                yield from api.collect(env, block, sizes=sizes,
-                                       algorithm=algorithm)
-            else:
-                fn = getattr(api, op)
-                yield from fn(env, vec, algorithm=algorithm)
-        return None
-
-    return program
+    return make_program(ChaosCase(topo=("linear", p), params="", op=op,
+                                  n=n, dtype="float64", group=None,
+                                  profile="none"), algorithm)
 
 
 def trace_main_runtime(op: str, p: int, nbytes: int, algorithm: str,
@@ -224,7 +210,7 @@ def trace_main_runtime(op: str, p: int, nbytes: int, algorithm: str,
         raise SystemExit(f"unknown op {op!r}; known: {', '.join(TRACE_OPS)}")
     n = max(nbytes // 8, 1)
     machine = ProcessMachine(p, transport=transport)
-    res = machine.run(_trace_program(op, n, algorithm), trace=True)
+    res = machine.run(_trace_program(op, p, n, algorithm), trace=True)
     write_chrome_trace(res.trace, out_path, timescale=timescale)
     print(f"{op} p={p} nbytes={nbytes} [runtime/{transport}]: "
           f"t={res.time:.3f}s wall, {res.trace.message_count()} "
@@ -272,7 +258,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
         from .audit import GRIDS, RUNTIME_GRIDS
         from .audit import main as audit_main
-        from .audit import main_runtime as audit_main_runtime
         ap = argparse.ArgumentParser(
             prog="python -m repro.analysis.report",
             description="run the model audit: selection regret, "
@@ -316,15 +301,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                         help="repeated timed runs per candidate "
                              "(runtime backend)")
         ns = ap.parse_args(argv)
-        if ns.backend == "runtime":
-            return audit_main_runtime(
-                ns.grid, transport=ns.transport,
-                out_path=ns.out or "AUDIT_runtime.json",
-                do_check=ns.check, verbose=not ns.quiet,
-                reps=ns.reps, trials=ns.trials)
-        return audit_main(ns.grid, ns.params,
-                          ns.out or "AUDIT_model.json", ns.check,
-                          verbose=not ns.quiet, workers=ns.workers)
+        return audit_main(ns.grid, ns.params, ns.out, ns.check,
+                          verbose=not ns.quiet, workers=ns.workers,
+                          backend=ns.backend, transport=ns.transport,
+                          reps=ns.reps, trials=ns.trials)
     if "--trace" in argv:
         import argparse
         ap = argparse.ArgumentParser(

@@ -1,6 +1,7 @@
 """Coverage-guided chaos autopilot (docs/robustness.md, section 6).
 
-The fixed 210-case grid in ``benchmarks/chaos/`` can only find failures
+The fixed 210-case grid in ``benchmarks/chaos/`` (a case list over this
+package's programs, oracles and fault schedules) can only find failures
 someone enumerated.  This package is the generative half of the
 robustness story: a seeded **generator** samples random topologies,
 collectives, group shapes, payload dtypes/sizes and fault schedules —

@@ -29,7 +29,9 @@ on the simulator, checks the outcome against the analytic oracles of
     on a fault-free case, ``algorithm="auto"`` picked a strategy whose
     *measured* time exceeds the measured best candidate by more than
     ``regret_threshold`` — a selection-quality regression, found by the
-    same measure-every-candidate sweep as ``repro.analysis.audit``.
+    model audit's own measure-every-candidate sweep
+    (:func:`repro.analysis.audit.audit_case`).  A pinned candidate that
+    returns a wrong payload there is ``silent-corruption``.
 
 Records carry no wall-clock state (sim times only), so a seeded run
 produces byte-identical records on every machine.
@@ -41,8 +43,6 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
-from repro.core.groups import classify
-from repro.core.selection import selector_for
 from repro.sim import (DeadlockError, FaultDiagnosis, Machine,
                        SimulationLimitError, preset)
 
@@ -62,45 +62,31 @@ FINDING_VERDICTS = ("silent-corruption", "undiagnosed-hang",
 FATAL_VERDICTS = ("silent-corruption", "undiagnosed-hang")
 
 
-def _mesh_shape(case: ChaosCase, topo):
-    """(rows, cols) when the case's member set is mesh-aligned."""
-    struct = classify(case.members(), topo)
-    if struct.kind == "submesh":
-        return struct.shape
-    if struct.is_mesh_aligned:  # a row or column: 1 x k highway
-        k = len(case.members())
-        return (1, k) if struct.kind == "row" else (k, 1)
-    return None
-
-
 def _check_regret(case: ChaosCase, record: Dict, sim_time: float,
                   threshold: float) -> Optional[str]:
-    """Measure every ranked candidate; flag auto picks worse than
-    ``threshold`` x the measured best (the audit layer's regret sweep,
-    run opportunistically on fault-free cases)."""
-    topo = case.topology()
-    params = preset(case.params)
-    itemsize = np.dtype(case.dtype).itemsize
-    sel = selector_for(params, itemsize=itemsize)
-    p = len(case.members())
-    choices = sel.ranked(case.op, p, case.n,
-                         mesh_shape=_mesh_shape(case, topo))
-    if len(choices) < 2:
+    """Measure every ranked candidate with the model audit's sweep
+    (:func:`repro.analysis.audit.audit_case`, run opportunistically on
+    fault-free cases); flag auto picks worse than ``threshold`` x the
+    measured best, and any pinned strategy whose payload violates the
+    oracle."""
+    from repro.analysis.audit import audit_case
+
+    cell = audit_case(case, preset(case.params))
+    if len(cell.candidates) < 2:
         return None
-    best = None
-    for c in choices:
-        run = Machine(topo, params).run(
-            make_program(case, algorithm=c.strategy))
-        if best is None or run.time < best[0]:
-            best = (run.time, str(c.strategy))
-    regret = sim_time / best[0] if best[0] > 0 else 1.0
+    regret = sim_time / cell.best_measured \
+        if cell.best_measured > 0 else 1.0
     record["regret"] = {
         "auto_time": sim_time,
-        "best_time": best[0],
-        "best_strategy": best[1],
+        "best_time": cell.best_measured,
+        "best_strategy": cell.best,
         "ratio": regret,
-        "candidates": len(choices),
+        "candidates": len(cell.candidates),
     }
+    wrong = [c.strategy for c in cell.candidates if c.wrong_ranks]
+    if wrong:
+        record["regret"]["wrong_strategies"] = wrong
+        return "silent-corruption"
     if regret > threshold:
         return "regret-outlier"
     return None

@@ -15,17 +15,18 @@ exercised yet: up to ``_BIAS_REDRAWS`` redraws per case, taking the
 first unexplored cell (all draws come from the same private stream, so
 the bias is itself deterministic).
 
-Fault schedules are scaled to the case's *clean* simulated duration
-(the simulator is deterministic, so ``t_clean`` is a pure function of
-the case config), mirroring the fixed grid in
-``benchmarks/chaos/cases.py``.
+Fault schedules come from :func:`fault_schedule`, the one
+profile -> schedule mapping that the fixed chaos grid
+(``benchmarks/chaos/``) and the service storms (:mod:`repro.service.chaos`)
+also use.  Event times are scaled to the case's *clean* simulated
+duration (the simulator is deterministic, so ``t_clean`` is a pure
+function of the case config).
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import math
 import random
 from dataclasses import dataclass, field, replace
 from typing import Dict, FrozenSet, Iterable, Optional, Sequence, Tuple
@@ -40,8 +41,9 @@ TOPO_CLASSES = ("linear", "ring", "mesh", "torus", "hypercube")
 
 OPS = ("bcast", "reduce", "allreduce", "collect", "reduce_scatter")
 
-#: fault profiles (the coverage fault-type axis).  The first six mirror
-#: the fixed grid; the last three are the Byzantine-model adversaries.
+#: fault profiles (the coverage fault-type axis) that
+#: :func:`fault_schedule` builds.  The last three are the
+#: Byzantine-model adversaries.
 PROFILES = ("none", "jitter", "slowdown", "link-permanent",
             "link-transient", "crash", "byzantine", "withholding",
             "misrouting")
@@ -270,59 +272,68 @@ class CaseGenerator:
         """Build the profile's schedule, scaled to the clean duration."""
         from .oracles import clean_run
 
-        rng = self._rng
-        profile = case.profile
-        if profile == "none":
+        if case.profile == "none":
             return {}
-        p = case.nranks
-        alpha = preset(case.params).alpha
         t_clean, _ = clean_run(case)
-        deadline = 5000.0 * t_clean + (1 << 16) * alpha
-        if profile == "jitter":
-            sched = FaultSchedule(jitter=alpha * rng.uniform(0.5, 3.0),
-                                  seed=rng.randrange(2 ** 31),
-                                  deadline=deadline)
-        elif profile == "slowdown":
-            u, v = self._sample_channel(case)
-            sched = FaultSchedule(
-                events=(LinkSlowdown(t=rng.uniform(0.0, 0.5) * t_clean,
-                                     u=u, v=v,
-                                     factor=rng.uniform(2.0, 8.0)),),
-                deadline=deadline)
-        elif profile == "link-permanent":
-            u, v = self._sample_channel(case)
-            sched = FaultSchedule(
-                events=(LinkFault(t=rng.uniform(0.0, 0.8) * t_clean,
-                                  u=u, v=v),),
-                deadline=deadline)
-        elif profile == "link-transient":
-            u, v = self._sample_channel(case)
-            sched = FaultSchedule(
-                events=(LinkFault(
-                    t=rng.uniform(0.0, 0.8) * t_clean, u=u, v=v,
-                    duration=rng.uniform(0.5, 1.5) * t_clean),),
-                max_retries=14, deadline=deadline)
-        elif profile == "crash":
-            sched = FaultSchedule(
-                events=(NodeCrash(t=rng.uniform(0.0, 0.9) * t_clean,
-                                  node=rng.randrange(p)),),
-                deadline=deadline)
-        elif profile in ADVERSARIAL_PROFILES:
-            cls = {"byzantine": ByzantineRank,
-                   "withholding": WithholdingRank,
-                   "misrouting": MisroutingRank}[profile]
-            members = case.members()
-            sched = FaultSchedule(
-                events=(cls(rank=rng.choice(members),
-                            every=rng.choice((1, 2, 3)),
-                            start=rng.choice((0, 1))),),
-                seed=rng.randrange(2 ** 31),
-                deadline=deadline)
-        else:  # pragma: no cover
-            raise ValueError(profile)
-        return sched.to_dict()
+        return fault_schedule(case.profile, self._rng, case.topology(),
+                              preset(case.params).alpha, t_clean,
+                              members=case.members()).to_dict()
 
-    def _sample_channel(self, case: ChaosCase) -> Tuple[int, int]:
-        """A physical directed channel of the case's topology."""
-        channels = sorted(set(case.topology().channels()))
-        return self._rng.choice(channels)
+
+def fault_schedule(profile: str, rng: random.Random, topology,
+                   alpha: float, t_clean: float,
+                   members: Optional[Sequence[int]] = None
+                   ) -> FaultSchedule:
+    """One fault profile as a seeded schedule scaled to ``t_clean``.
+
+    The single profile -> schedule mapping shared by the autopilot, the
+    fixed chaos grid and the service storms: event times are fractions
+    of the fault-free duration ``t_clean`` (simulated seconds), link
+    faults hit one physical directed channel of ``topology``, crashes
+    one of its nodes, and adversaries one of ``members`` (default every
+    node).  Every draw comes from ``rng``, in a fixed order, so a
+    string-seeded ``rng`` replays the same faults on every machine.
+    """
+    if profile == "none":
+        return FaultSchedule()
+    deadline = 5000.0 * t_clean + (1 << 16) * alpha
+
+    def channel() -> Tuple[int, int]:
+        return rng.choice(sorted(set(topology.channels())))
+
+    if profile == "jitter":
+        return FaultSchedule(jitter=alpha * rng.uniform(0.5, 3.0),
+                             seed=rng.randrange(2 ** 31),
+                             deadline=deadline)
+    if profile == "slowdown":
+        u, v = channel()
+        return FaultSchedule(
+            events=(LinkSlowdown(t=rng.uniform(0.0, 0.5) * t_clean,
+                                 u=u, v=v, factor=rng.uniform(2.0, 8.0)),),
+            deadline=deadline)
+    if profile == "link-permanent":
+        u, v = channel()
+        return FaultSchedule(
+            events=(LinkFault(t=rng.uniform(0.0, 0.8) * t_clean,
+                              u=u, v=v),),
+            deadline=deadline)
+    if profile == "link-transient":
+        u, v = channel()
+        return FaultSchedule(
+            events=(LinkFault(t=rng.uniform(0.0, 0.8) * t_clean, u=u, v=v,
+                              duration=rng.uniform(0.5, 1.5) * t_clean),),
+            max_retries=14, deadline=deadline)
+    if profile == "crash":
+        return FaultSchedule(
+            events=(NodeCrash(t=rng.uniform(0.0, 0.9) * t_clean,
+                              node=rng.randrange(topology.nnodes)),),
+            deadline=deadline)
+    cls = {"byzantine": ByzantineRank,
+           "withholding": WithholdingRank,
+           "misrouting": MisroutingRank}[profile]
+    if members is None:
+        members = range(topology.nnodes)
+    return FaultSchedule(
+        events=(cls(rank=rng.choice(members), every=rng.choice((1, 2, 3)),
+                    start=rng.choice((0, 1))),),
+        seed=rng.randrange(2 ** 31), deadline=deadline)

@@ -1,7 +1,11 @@
-"""Programs and validation oracles for generated chaos cases.
+"""Programs and validation oracles for collective cases.
 
-The generated analogue of the fixed grid's program/oracle pair in
-``benchmarks/chaos/cases.py``, generalized over group shape and dtype.
+The one source of "the rank program for op X and its expected result"
+in the repo: the autopilot, the fixed chaos grid
+(``benchmarks/chaos/``), both model audits (:mod:`repro.analysis.audit`
+checks every measured candidate against :func:`expected_results`) and
+the ``--trace`` scenarios all run :func:`make_program`.
+
 Input vectors are a pure function of the member's *logical* index, the
 length and the dtype — values stay small (< 139) so integer dtypes
 never wrap and float32 sums stay exact — which keeps the oracle

@@ -64,21 +64,19 @@ def _context(env, group, tag) -> CollContext:
     return CollContext(env, group, tag)
 
 
-def _mesh_shape(ctx: CollContext) -> Optional[Tuple[int, int]]:
+def group_mesh_shape(group: Sequence[int], topology
+                     ) -> Optional[Tuple[int, int]]:
     """(subrows, subcols) if the group is mesh-aligned, else None.
 
-    An env without topology metadata (a real backend launched without a
-    machine description) reports None: the group is priced as a linear
-    array, exactly the paper's rule for groups whose structure "cannot
-    be ascertained" (section 9).
+    A row is ``(1, k)`` and a column ``(k, 1)``.  ``topology=None`` (a
+    real backend launched without a machine description) reports None:
+    the group is priced as a linear array, exactly the paper's rule for
+    groups whose structure "cannot be ascertained" (section 9).
     """
-    topology = getattr(ctx.env, "topology", None)
     if topology is None:
         return None
-    struct = classify(ctx.group, topology)
-    if struct.is_mesh_aligned and struct.shape is not None:
-        return struct.shape
-    return None
+    struct = classify(group, topology)
+    return struct.shape if struct.is_mesh_aligned else None
 
 
 #: itemsize every rank assumes when no dtype is declared (float64).
@@ -177,7 +175,8 @@ def resolve_strategy(ctx: CollContext, operation: str,
             if beta_mult > 1.0:
                 params = params.with_(beta=params.beta * beta_mult)
         sel = selector_for(params, itemsize=itemsize)
-        mesh_shape = _mesh_shape(ctx)
+        mesh_shape = group_mesh_shape(ctx.group,
+                                      getattr(ctx.env, "topology", None))
         choice = sel.best(operation, p, n, mesh_shape=mesh_shape)
         if ctx._tracer() is not None:
             _capture_prediction(ctx, sel, operation, p, n, itemsize,

@@ -15,19 +15,23 @@ request level:
   oracle-identical results, and **no request may ever disappear** —
   ``submitted == ok + rejected + dead-letter`` always.
 
-Profiles are seeded and sized against the machine's own alpha, so one
-``(profile, seed)`` pair reproduces the same mid-storm fault
-everywhere — the same convention as :mod:`repro.chaos.generator`.
+Schedules come from :func:`repro.chaos.generator.fault_schedule`, the
+one profile -> schedule mapping the chaos autopilot and the chaos grid
+also use, seeded per ``(profile, seed)`` and scaled to the storm's own
+fault-free span — so one pair reproduces the same mid-storm fault
+everywhere.
 """
 
 from __future__ import annotations
 
 import random
-from typing import Dict, Optional, Tuple
+from typing import Dict
 
-from ..sim.faults import FaultSchedule, LinkFault, LinkSlowdown, NodeCrash
+from ..chaos.generator import fault_schedule
+from ..sim.faults import FaultSchedule
 
-#: profile name -> whether the profile may legally dead-letter requests
+#: the profiles a storm is tested under -> whether the profile may
+#: legally dead-letter requests
 SERVICE_CHAOS_PROFILES: Dict[str, bool] = {
     "jitter": False,
     "slowdown": False,
@@ -37,50 +41,21 @@ SERVICE_CHAOS_PROFILES: Dict[str, bool] = {
 }
 
 
-def service_fault_schedule(profile: str, machine, *, seed: int = 0,
-                           t_mid: Optional[float] = None) -> FaultSchedule:
+def service_fault_schedule(profile: str, machine, t_clean: float, *,
+                           seed: int = 0) -> FaultSchedule:
     """A seeded mid-storm fault schedule for ``machine``.
 
-    ``t_mid`` anchors injection (simulated seconds): events land in
-    ``[0.2, 1.0] * t_mid``.  Default is a few hundred alphas; callers
-    who know the storm's fault-free span should pass a fraction of it
-    so the fault really lands mid-flight.
+    ``t_clean`` is the storm's fault-free span (simulated seconds):
+    event times are drawn as fractions of it, so the fault really lands
+    mid-flight.
     """
     if profile not in SERVICE_CHAOS_PROFILES:
         raise ValueError(
             f"unknown service chaos profile {profile!r}; expected one "
             f"of {sorted(SERVICE_CHAOS_PROFILES)}")
     rng = random.Random(f"service-chaos/{profile}/{seed}")
-    alpha = machine.params.alpha
-    if t_mid is None:
-        t_mid = 200.0 * alpha
-    deadline = max(500_000.0 * alpha, 5000.0 * t_mid)
-    channels = sorted(set(machine.topology.channels()))
-    u, v = rng.choice(channels)
-    if profile == "jitter":
-        return FaultSchedule(jitter=alpha * rng.uniform(0.5, 2.0),
-                             seed=rng.randrange(2 ** 31),
-                             deadline=deadline)
-    if profile == "slowdown":
-        return FaultSchedule(
-            events=(LinkSlowdown(t=t_mid * rng.uniform(0.2, 1.0),
-                                 u=u, v=v,
-                                 factor=rng.uniform(2.0, 6.0)),),
-            deadline=deadline)
-    if profile == "link-transient":
-        return FaultSchedule(
-            events=(LinkFault(t=t_mid * rng.uniform(0.2, 1.0), u=u, v=v,
-                              duration=50.0 * alpha),),
-            max_retries=14, deadline=deadline)
-    if profile == "link-permanent":
-        return FaultSchedule(
-            events=(LinkFault(t=t_mid * rng.uniform(0.2, 1.0), u=u, v=v),),
-            deadline=deadline)
-    # crash
-    node = rng.randrange(machine.nnodes)
-    return FaultSchedule(
-        events=(NodeCrash(t=t_mid * rng.uniform(0.2, 1.0), node=node),),
-        deadline=deadline)
+    return fault_schedule(profile, rng, machine.topology,
+                          machine.params.alpha, t_clean)
 
 
 def run_chaos_storm(profile: str, *, seed: int = 0, machine=None,
@@ -105,8 +80,8 @@ def run_chaos_storm(profile: str, *, seed: int = 0, machine=None,
     plan = run_workload(core, spec, seed=workload_seed)
 
     oracle = execute_plan(machine, plan)
-    faults = service_fault_schedule(profile, machine, seed=seed,
-                                    t_mid=0.6 * oracle.elapsed_s)
+    faults = service_fault_schedule(profile, machine, oracle.elapsed_s,
+                                    seed=seed)
     faulty = Machine(machine.topology, machine.params, faults=faults)
     report = execute_plan(faulty, plan)
     return report, oracle

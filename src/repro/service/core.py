@@ -228,9 +228,8 @@ class ServiceCore:
             return None
         shape = self._mesh_cache.get(group)
         if group not in self._mesh_cache:
-            from ..core.groups import classify
-            struct = classify(group, self.topology)
-            shape = (struct.shape if struct.is_mesh_aligned else None)
+            from ..core.api import group_mesh_shape
+            shape = group_mesh_shape(group, self.topology)
             self._mesh_cache[group] = shape
         return shape
 

@@ -3,6 +3,7 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from repro.analysis import audit as sweep
@@ -18,23 +19,26 @@ TINY_GRID = {
 
 class TestCellEnvironment:
     def test_line(self):
-        topo, group, p = sweep.cell_environment(("line", 9))
-        assert topo.nnodes == 9 and group is None and p == 9
+        case = sweep.cell_case("bcast", ("line", 9), 64)
+        assert case.topology().nnodes == 9 and case.group is None
+        assert len(case.members()) == 9
 
     def test_mesh(self):
-        topo, group, p = sweep.cell_environment(("mesh", 3, 4))
-        assert topo.nnodes == 12 and group is None and p == 12
+        case = sweep.cell_case("bcast", ("mesh", 3, 4), 64)
+        assert case.topology().nnodes == 12 and case.group is None
+        assert len(case.members()) == 12
 
     def test_row_and_col_groups_live_on_the_mesh(self):
-        topo, row, p = sweep.cell_environment(("row", 4, 5))
-        assert p == 5 and len(row) == 5
-        assert all(0 <= node < topo.nnodes for node in row)
-        topo, col, p = sweep.cell_environment(("col", 4, 5))
-        assert p == 4 and len(col) == 4
+        case = sweep.cell_case("bcast", ("row", 4, 5), 64)
+        row = case.group
+        assert len(case.members()) == 5 and len(row) == 5
+        assert all(0 <= node < case.topology().nnodes for node in row)
+        case = sweep.cell_case("bcast", ("col", 4, 5), 64)
+        assert len(case.members()) == 4 and len(case.group) == 4
 
     def test_unknown_shape(self):
         with pytest.raises(KeyError):
-            sweep.cell_environment(("blob", 3))
+            sweep.cell_case("bcast", ("blob", 3), 64)
 
 
 class TestAuditCell:
@@ -146,7 +150,38 @@ class TestReportCLI:
         for name, grid in sweep.GRIDS.items():
             assert set(grid) == {"operations", "shapes", "lengths"}
             for shape in grid["shapes"]:
-                sweep.cell_environment(shape)  # must not raise
+                sweep.cell_case("bcast", shape, 64)  # must not raise
             # the regret grids must include a non-power-of-two p
-            ps = [sweep.cell_environment(s)[2] for s in grid["shapes"]]
+            ps = [len(sweep.cell_case("bcast", s, 64).members())
+                  for s in grid["shapes"]]
             assert any(p & (p - 1) for p in ps), name
+
+
+class TestOracleCheck:
+    def test_wrong_candidate_fails_check_and_never_wins(self, monkeypatch):
+        from repro.sim.params import PARAGON
+        honest = sweep.audit_cell("bcast", ("line", 7), 256, PARAGON)
+        target = next(c.strategy for c in honest.candidates
+                      if c.strategy not in (honest.chosen, honest.best))
+        real = sweep.make_program
+
+        def planted(case, algorithm="auto"):
+            if str(algorithm) != target:
+                return real(case, algorithm)
+
+            def prog(env):  # faster than any real candidate, and wrong
+                yield env.delay(1e-12)
+                return np.full(case.n, -1.0)
+            return prog
+
+        monkeypatch.setattr(sweep, "make_program", planted)
+        report = sweep.build_audit(TINY_GRID, "paragon")
+        cell = report["cells"][0]
+        wrong = {c["strategy"]: c for c in cell["candidates"]}[target]
+        assert wrong["measured"] < cell["best_measured"]
+        assert wrong["wrong_ranks"]
+        assert cell["best"] == honest.best != target
+        failures = sweep.check(report)
+        assert len(failures) == 1
+        assert "bcast (" in failures[0] and "n=256" in failures[0]
+        assert f"strategy {target} " in failures[0]

@@ -111,8 +111,8 @@ class TestAuditSweepDeterminism:
     def test_parallel_sweep_equals_serial(self):
         from repro.sim.params import preset
         serial = audit.run_sweep(SMALL_GRID, preset("paragon"))
-        parallel = audit.run_sweep_parallel(SMALL_GRID, "paragon",
-                                            workers=4)
+        parallel = audit.run_sweep(SMALL_GRID, preset("paragon"),
+                                   workers=4)
         assert parallel == serial
 
     def test_audit_payload_byte_identical_1_vs_n(self, tmp_path):

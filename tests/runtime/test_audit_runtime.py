@@ -1,10 +1,10 @@
 """Selection-regret sweep on real processes: structure and gating."""
 
-import pytest
+from functools import partial
 
-from repro.analysis.audit import (RUNTIME_GRIDS, audit_cell_runtime,
-                                  build_runtime_audit, check_runtime,
-                                  render_runtime)
+from repro.analysis.audit import (RUNTIME_GRIDS, audit_cell,
+                                  build_runtime_audit, check,
+                                  measure_runtime, render)
 from repro.core.params import MachineParams
 
 PARAMS = MachineParams(alpha=2e-4, beta=5e-9, gamma=1e-9,
@@ -29,8 +29,9 @@ def test_runtime_grids_registered():
 
 
 def test_audit_cell_measures_every_candidate():
-    cell = audit_cell_runtime("bcast", ("line", 2), 256, PARAMS,
-                              reps=1, trials=1, timeout=60)
+    cell = audit_cell("bcast", ("line", 2), 256, PARAMS,
+                      measure=partial(measure_runtime, reps=1, trials=1,
+                                      timeout=60))
     assert cell.operation == "bcast"
     assert cell.p == 2
     assert len(cell.candidates) >= 1
@@ -52,14 +53,13 @@ def test_build_report_structure_and_gate():
     assert report["model_error"]["count"] >= 1
     assert len(report["cells"]) == 1
     assert report["cells"][0]["chosen"]
-    assert "regret" in render_runtime(report)
+    assert "regret" in render(report)
     # the gate passes iff the median regret clears the threshold
-    assert check_runtime(report, max_median_regret=1e9) == []
-    failures = check_runtime(report, max_median_regret=0.0)
+    assert check(report, max_median_regret=1e9) == []
+    failures = check(report, max_median_regret=0.0)
     assert failures and "regret" in failures[0]
 
 
 def test_empty_report_fails_check():
     empty = {"regret": {"count": 0}, "model_error": {"count": 0}}
-    assert check_runtime(empty) == ["runtime regret sweep produced "
-                                    "no cells"]
+    assert check(empty) == ["regret sweep produced no cells"]

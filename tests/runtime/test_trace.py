@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 from repro.core import api
+from repro.core.params import MachineParams
 from repro.obs.runtime import (ClockEstimate, chrome_trace,
                                estimate_clock_offset, merge_rank_traces,
                                write_chrome_trace)
@@ -80,6 +81,11 @@ class TestClockEstimator:
 # ----------------------------------------------------------------------
 
 
+#: pipe-transport-scale constants for the traced fixture
+PIPE_PARAMS = MachineParams(alpha=2e-4, beta=5e-9, gamma=1e-9,
+                            sw_overhead=1e-6, link_capacity=1.0)
+
+
 def _allreduce_prog(env):
     yield env.mark("phase:start")
     out = yield from api.allreduce(
@@ -92,7 +98,9 @@ class TestMergedTrace:
     @pytest.fixture(scope="class")
     def traced(self, tmp_path_factory):
         trace_dir = str(tmp_path_factory.mktemp("rank-traces"))
-        res = ProcessMachine(4, timeout=30).run(
+        # explicit params: auto dispatch prices with the Selector (and
+        # records its prediction) whatever profile the host has stored
+        res = ProcessMachine(4, timeout=30, params=PIPE_PARAMS).run(
             _allreduce_prog, trace=True, trace_dir=trace_dir)
         return res, trace_dir
 

@@ -66,9 +66,9 @@ def test_crash_mid_storm_dead_letters_with_diagnosis():
 
 def test_schedules_are_seeded_and_reproducible():
     m = Machine(Mesh2D(2, 3), PARAGON)
-    a = service_fault_schedule("crash", m, seed=3, t_mid=0.01)
-    b = service_fault_schedule("crash", m, seed=3, t_mid=0.01)
-    c = service_fault_schedule("crash", m, seed=4, t_mid=0.01)
+    a = service_fault_schedule("crash", m, 0.01, seed=3)
+    b = service_fault_schedule("crash", m, 0.01, seed=3)
+    c = service_fault_schedule("crash", m, 0.01, seed=4)
     assert a.to_dict() == b.to_dict()
     assert a.to_dict() != c.to_dict()
 
@@ -76,4 +76,4 @@ def test_schedules_are_seeded_and_reproducible():
 def test_unknown_profile_rejected():
     m = Machine(Mesh2D(2, 3), PARAGON)
     with pytest.raises(ValueError):
-        service_fault_schedule("meteor", m)
+        service_fault_schedule("meteor", m, 0.01)
