@@ -400,8 +400,8 @@ def build_audit(grid_name="smoke", params_name: str = "paragon",
     """
     from ..obs.audit import (BUILDING_BLOCKS, drift_from_runs,
                              run_block_primitive, verify_building_blocks)
-    from ..sim.params import preset
-    from ..sim.topology import Mesh2D
+    from ..core.params import preset
+    from ..core.topology import Mesh2D
 
     params = preset(params_name)
     grid = GRIDS[grid_name] if isinstance(grid_name, str) else grid_name

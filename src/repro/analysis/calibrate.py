@@ -25,7 +25,7 @@ of :mod:`repro.runtime.profile` persist it).  On the deterministic
 simulator repeated trials are bit-identical, so ``trials=1`` remains
 exact there.
 
-The result is a :class:`~repro.sim.params.MachineParams` ready to feed
+The result is a :class:`~repro.core.params.MachineParams` ready to feed
 the strategy :class:`~repro.core.selection.Selector` — the library's
 entire porting procedure, automated.
 """
@@ -40,7 +40,7 @@ from typing import Callable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..sim.machine import Machine
-from ..sim.params import MachineParams
+from ..core.params import MachineParams
 
 #: Deterministic reducers for repeated noisy trials.  ``median`` is
 #: robust to symmetric jitter; ``min`` is the classic "best observed

@@ -170,8 +170,8 @@ def run_traced_scenario(op: str, p: int, nbytes: int,
     Returns the :class:`~repro.sim.machine.RunResult`.
     """
     from ..sim.machine import Machine
-    from ..sim.params import preset
-    from ..sim.topology import LinearArray
+    from ..core.params import preset
+    from ..core.topology import LinearArray
 
     if op not in TRACE_OPS:
         raise SystemExit(f"unknown op {op!r}; known: {', '.join(TRACE_OPS)}")
@@ -227,7 +227,7 @@ def trace_main_runtime(op: str, p: int, nbytes: int, algorithm: str,
 def trace_main(op: str, p: int, nbytes: int, params_name: str,
                algorithm: str, out_path: str, timescale: float) -> int:
     from ..obs.metrics import busiest
-    from ..sim.params import preset
+    from ..core.params import preset
     from ..sim.trace import write_chrome_trace
     from .critpath import critical_path, render_critical_path
 

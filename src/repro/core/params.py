@@ -4,8 +4,7 @@ Backend-neutral machine *description*: both the discrete-event simulator
 (:mod:`repro.sim`) and the real multi-process runtime
 (:mod:`repro.runtime`) attach a :class:`MachineParams` to their rank
 envs so ``algorithm="auto"`` strategy selection prices candidates the
-same way on every backend.  Historically this module lived at
-``repro.sim.params``, which re-exports it for backward compatibility.
+same way on every backend.
 
 The SC'94 InterCom paper (section 2) models the target architecture with
 three constants:

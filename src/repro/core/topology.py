@@ -4,9 +4,7 @@ Backend-neutral machine *description*: the discrete-event simulator
 routes messages over these channel graphs, and the real multi-process
 runtime (:mod:`repro.runtime`) attaches a topology to its rank envs as
 metadata so group-structure classification and mesh-aware strategy
-selection behave identically on every backend.  Historically this
-module lived at ``repro.sim.topology``, which re-exports it for
-backward compatibility.
+selection behave identically on every backend.
 
 The paper's target architecture (section 2) is a two-dimensional mesh of
 processing nodes with bidirectional links and worm-hole (cut-through)

@@ -24,7 +24,7 @@ from typing import Callable, Generator, List, Optional
 import numpy as np
 
 from ..core.context import CollContext
-from ..sim.topology import Hypercube
+from ..core.topology import Hypercube
 from .pipelined import chain_order, pipelined_bcast
 
 

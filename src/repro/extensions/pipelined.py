@@ -39,8 +39,8 @@ import numpy as np
 
 from ..core.context import CollContext
 from ..core.partition import partition_offsets, partition_sizes
-from ..sim.params import MachineParams
-from ..sim.topology import Hypercube, Mesh2D, Topology
+from ..core.params import MachineParams
+from ..core.topology import Hypercube, Mesh2D, Topology
 
 
 def optimal_chunks(p: int, nbytes: float, params: MachineParams,

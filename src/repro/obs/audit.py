@@ -32,7 +32,7 @@ Mounié's validation of analytic collective models against measurement:
 * :func:`fit_drift` refits alpha/beta from measured message records
   (reusing :func:`repro.analysis.calibrate.fit_alpha_beta`) and reports
   the divergence from the configured
-  :class:`~repro.sim.params.MachineParams` — stale or mis-entered
+  :class:`~repro.core.params.MachineParams` — stale or mis-entered
   constants show up as drift instead of silently skewing every
   selection.
 
@@ -193,7 +193,7 @@ def predicted_terms(params, itemsize: int, operation: str, strategy,
     the test suite).
     """
     from ..core.costmodel import CostModel
-    from ..sim.params import MachineParams
+    from ..core.params import MachineParams
     out: Dict[str, float] = {}
     for term, fld in (("alpha", "alpha"), ("beta", "beta"),
                       ("gamma", "gamma"), ("overhead", "sw_overhead")):
@@ -469,8 +469,8 @@ def run_block_primitive(kind: str, p: int, params=None, n: int = 240,
     and pass it both here and to :func:`contended_channels`.
     """
     from ..sim.machine import Machine
-    from ..sim.params import UNIT
-    from ..sim.topology import LinearArray
+    from ..core.params import UNIT
+    from ..core.topology import LinearArray
     if topology is None:
         topology = LinearArray(p)
     machine = Machine(topology, params if params is not None else UNIT)
@@ -490,7 +490,7 @@ def verify_building_blocks(p: int, params=None, n: int = 240,
     two primitives (MST bcast/combine, scatter/gather) is ``ok`` only
     if both runs are conflict-free.
     """
-    from ..sim.topology import LinearArray
+    from ..core.topology import LinearArray
     verdicts: Dict[str, ConflictVerdict] = {}
     for block, kinds in BUILDING_BLOCKS.items():
         contended: List[ChannelShare] = []

@@ -14,10 +14,10 @@ from .faults import (ByzantineRank, DeadLetter, FaultDiagnosis, FaultReport,
                      NodeCrash, Tamper, WithholdingRank)
 from .machine import Machine, RunResult
 from .network import FluidNetwork, Flow
-from .params import (DELTA, IPSC860, PARAGON, PRESETS, UNIT, MachineParams,
-                     preset)
-from .topology import (FullyConnected, Hypercube, LinearArray, Mesh2D, Ring,
-                       Topology, Torus2D, route_length)
+from ..core.params import (DELTA, IPSC860, PARAGON, PRESETS, UNIT,
+                           MachineParams, preset)
+from ..core.topology import (FullyConnected, Hypercube, LinearArray, Mesh2D,
+                             Ring, Topology, Torus2D, route_length)
 from .trace import (FaultRecord, MessageRecord, SpanRecord, Tracer,
                     chrome_trace, write_chrome_trace)
 

@@ -57,14 +57,10 @@ from ..core.protocol import (CommHandle, _Delay, _Request, _WaitGroup,
 from .faults import (DeadLetter, FaultDiagnosis, FaultSchedule, FaultState,
                      LinkFault, LinkSlowdown, NodeCrash)
 from .network import FluidNetwork
-from .params import MachineParams
-from .topology import Topology
+from ..core.params import MachineParams
+from ..core.topology import Topology
 from .trace import MessageRecord, Tracer
 
-# Backward-compatibility re-exports: the request protocol (CommHandle,
-# _WaitGroup, _Delay, payload_nbytes) moved to repro.core.protocol so
-# that repro.core no longer imports simulator internals; historical
-# `from repro.sim.engine import CommHandle` spellings keep working.
 __all__ = [
     "CommHandle", "DeadlockError", "Engine", "RankEnv",
     "SimulationLimitError", "payload_nbytes",
@@ -84,10 +80,6 @@ class DeadlockError(RuntimeError):
 
 class SimulationLimitError(RuntimeError):
     """Raised when an event-count safety limit is exceeded."""
-
-
-# (payload_nbytes and the request classes _Request/_Delay/CommHandle/
-# _WaitGroup now live in repro.core.protocol — imported above.)
 
 
 # ----------------------------------------------------------------------

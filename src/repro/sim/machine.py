@@ -23,8 +23,8 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 from ..obs.metrics import ChannelStats, ResourceMetrics
 from .engine import Engine, RankEnv
 from .faults import FaultReport, FaultSchedule
-from .params import MachineParams, UNIT
-from .topology import Topology
+from ..core.params import MachineParams, UNIT
+from ..core.topology import Topology
 from .trace import Tracer
 
 
@@ -104,10 +104,10 @@ class Machine:
     Parameters
     ----------
     topology:
-        Physical interconnect (:class:`~repro.sim.topology.Mesh2D`,
-        :class:`~repro.sim.topology.LinearArray`, ...).
+        Physical interconnect (:class:`~repro.core.topology.Mesh2D`,
+        :class:`~repro.core.topology.LinearArray`, ...).
     params:
-        :class:`~repro.sim.params.MachineParams`; defaults to the unit
+        :class:`~repro.core.params.MachineParams`; defaults to the unit
         model used by the analytic tests.
     trace:
         When true, every run records per-message lifecycle events (and

@@ -29,12 +29,14 @@ at full speed.
 Performance notes (see ``docs/performance.md``)
 -----------------------------------------------
 The hot path of every simulated message is ``start_flow`` -> one or two
-max-min recomputations -> a completion event.  To keep that path cheap:
+max-min recomputations -> a completion event.  Every recomputation runs
+one progressive-filling loop, :meth:`FluidNetwork._fill_scalar`.  To
+keep that path cheap:
 
 * **Resource interning.**  Resources (``("inj", node)``, ``("ch", u, v)``,
   ``("ej", node)``) are interned to dense integer ids at first use;
   capacities, flow indices and scratch stamps live in flat lists indexed
-  by id, so the water-filling inner loops never hash a tuple.
+  by id, so the water-filling loop never hashes a tuple.
 * **Route caching.**  The interned resource sequence of every
   ``(src, dst)`` pair is computed once per network and reused; repeated
   ring/mesh traffic patterns hit a single dict lookup.
@@ -62,13 +64,10 @@ from __future__ import annotations
 
 import itertools
 import math
-import os
 from typing import Callable, Dict, List, Optional, Tuple
 
-import numpy as np
-
-from .params import MachineParams
-from .topology import Topology
+from ..core.params import MachineParams
+from ..core.topology import Topology
 
 Resource = Tuple  # ("inj", node) | ("ej", node) | ("ch", u, v)
 
@@ -80,30 +79,6 @@ _INF = math.inf
 #: degraded-route cache sentinel: the pair is disconnected
 _NO_ROUTE = ()
 
-#: components smaller than this run the scalar progressive-filling inner
-#: loop even in vectorized mode: numpy's per-call overhead beats the
-#: Python loop only once a component carries enough flows.  Both inner
-#: loops produce bit-identical rates (see docs/performance.md), so the
-#: crossover is purely a wall-clock knob.
-_VEC_MIN_FLOWS = 64
-
-
-def _vectorized_enabled() -> bool:
-    """Vectorized water-filling is the default; ``REPRO_SIM_SCALAR=1``
-    selects the historical pure-Python path (the differential suite in
-    ``tests/sim/test_vectorized_network.py`` runs both and asserts
-    bit-identical results)."""
-    return os.environ.get("REPRO_SIM_SCALAR", "").lower() \
-        not in ("1", "true", "yes")
-
-
-def _vec_min_flows() -> int:
-    """Scalar/vectorized crossover, overridable for experiments."""
-    try:
-        return int(os.environ["REPRO_SIM_VEC_MIN"])
-    except (KeyError, ValueError):
-        return _VEC_MIN_FLOWS
-
 
 class Flow:
     """One in-flight message moving through the fluid network.
@@ -113,10 +88,9 @@ class Flow:
     ``("inj", node)`` / ``("ch", u, v)`` / ``("ej", node)`` tuples.
     """
 
-    __slots__ = ("fid", "src", "dst", "route", "route_np", "remaining",
-                 "rate", "last_update", "epoch", "on_complete",
-                 "started_at", "_sched_at", "_sched_epoch", "_cstamp",
-                 "_fstamp")
+    __slots__ = ("fid", "src", "dst", "route", "remaining", "rate",
+                 "last_update", "epoch", "on_complete", "started_at",
+                 "_sched_at", "_sched_epoch", "_cstamp", "_fstamp")
 
     def __init__(self, fid: int, src: int, dst: int,
                  route: Tuple[int, ...], nbytes: float,
@@ -125,9 +99,6 @@ class Flow:
         self.src = src
         self.dst = dst
         self.route = route
-        #: interned route as an int array (vectorized path); filled
-        #: lazily from the network's per-route cache
-        self.route_np = None
         self.remaining = float(nbytes)
         self.rate = 0.0
         self.last_update = now
@@ -230,21 +201,6 @@ class FluidNetwork:
         self._wf_rstamp: List[int] = []
         self._wf_rpos: List[int] = []
         self._stamp = 0
-        #: vectorized water-filling (docs/performance.md): flat numpy
-        #: mirrors of the interning tables plus preallocated scratch.
-        #: ``REPRO_SIM_SCALAR=1`` pins the historical pure-Python inner
-        #: loop; both paths are bit-identical by construction and the
-        #: differential suite enforces it.
-        self._vec = _vectorized_enabled()
-        self._vec_min = _vec_min_flows()
-        #: route tuple -> np.intp array of interned resource ids
-        self._route_np_cache: Dict[Tuple[int, ...], np.ndarray] = {}
-        #: numpy mirror of ``_res_cap``; rebuilt lazily when stale
-        self._cap_np = np.zeros(0, dtype=np.float64)
-        self._cap_dirty = True
-        #: global rid -> component-local index scratch (values garbage
-        #: outside the rids written in the current fill)
-        self._gmap = np.zeros(0, dtype=np.intp)
         #: (src, dst) -> tuple of interned resource ids
         self._route_cache: Dict[Tuple[int, int], Tuple[int, ...]] = {}
         self._active: Dict[Flow, None] = {}
@@ -345,19 +301,11 @@ class FluidNetwork:
                     if factor:
                         cap = self._chan_cap / factor
             self._res_cap.append(cap)
-            self._cap_dirty = True
             self._res_flows.append({})
             self._bfs_rstamp.append(0)
             self._wf_rstamp.append(0)
             self._wf_rpos.append(0)
         return rid
-
-    def _route_np_of(self, route: Tuple[int, ...]) -> np.ndarray:
-        a = self._route_np_cache.get(route)
-        if a is None:
-            a = np.array(route, dtype=np.intp)
-            self._route_np_cache[route] = a
-        return a
 
     # ------------------------------------------------------------------
     # fault hooks (driven by the engine; see docs/robustness.md)
@@ -389,7 +337,6 @@ class FluidNetwork:
             return  # not interned yet; _intern will pick up fs.slow
         self._res_cap[rid] = (self._chan_cap if factor is None
                               else self._chan_cap / factor)
-        self._cap_dirty = True
         flows = self._res_flows[rid]
         if flows:
             # Any flow on the channel seeds the component walk; the walk
@@ -509,14 +456,8 @@ class FluidNetwork:
 
         # Progressive filling (max-min fairness).  Only the resources
         # used by component flows matter; by construction no flow
-        # outside the component crosses them.  Two interchangeable inner
-        # loops compute the same rates bit-for-bit: the vectorized one
-        # wins once the component carries enough flows, the scalar one
-        # below the crossover (and always under REPRO_SIM_SCALAR=1).
-        if self._vec and len(comp) >= self._vec_min:
-            self._fill_vectorized(comp)
-        else:
-            self._fill_scalar(comp)
+        # outside the component crosses them.
+        self._fill_scalar(comp)
 
         # Reschedule completion events at the new rates.
         for f in comp:
@@ -582,108 +523,6 @@ class FluidNetwork:
                         nc = caps[i] - bottleneck_share
                         caps[i] = nc if nc > 0.0 else 0.0
                         cnts[i] -= 1
-
-    def _fill_vectorized(self, comp: List[Flow]) -> None:
-        """Progressive filling over flat numpy arrays.
-
-        Same algorithm as :meth:`_fill_scalar`, restated over a dense
-        flow x resource incidence (CSR-by-resource).  Bit-identity with
-        the scalar loop holds because every floating-point operation is
-        preserved: the bottleneck is the first resource with the
-        strictly smallest ``caps/cnts`` ratio (``argmin`` first-
-        occurrence semantics over first-seen resource order), every
-        newly fixed flow receives the same IEEE-754 quotient, and
-        capacity drains as *sequential* clamped subtractions — one per
-        route occurrence — never a fused ``caps -= k*share``, which
-        would reassociate.
-        """
-        if self._cap_dirty:
-            self._cap_np = np.array(self._res_cap, dtype=np.float64)
-            self._cap_dirty = False
-        nflows = len(comp)
-        routes = []
-        for f in comp:
-            a = f.route_np
-            if a is None:
-                a = f.route_np = self._route_np_of(f.route)
-            routes.append(a)
-        lens = np.fromiter((len(r) for r in routes), dtype=np.intp,
-                           count=nflows)
-        all_rids = np.concatenate(routes)
-        # Unique resources in *first-seen* order (np.unique sorts, which
-        # would silently change bottleneck tie-breaking).
-        uniq, first = np.unique(all_rids, return_index=True)
-        rids = uniq[np.argsort(first, kind="stable")]
-        nres = len(rids)
-        gmap = self._gmap
-        if len(gmap) < len(self._res_list):
-            gmap = self._gmap = np.empty(
-                max(64, 2 * len(self._res_list)), dtype=np.intp)
-        gmap[rids] = np.arange(nres, dtype=np.intp)
-        inc = gmap[all_rids]
-        cnts = np.bincount(inc, minlength=nres)
-        inc_flow = np.repeat(np.arange(nflows, dtype=np.intp), lens)
-        by_res = np.argsort(inc, kind="stable")
-        flows_by_res = inc_flow[by_res].tolist()
-        ptr = np.zeros(nres + 1, dtype=np.intp)
-        np.cumsum(cnts, out=ptr[1:])
-        ptr_l = ptr.tolist()
-        # CSR by flow: flow fi's local resources are
-        # ``inc_l[off_l[fi]:off_l[fi+1]]``.
-        off = np.zeros(nflows + 1, dtype=np.intp)
-        np.cumsum(lens, out=off[1:])
-        off_l = off.tolist()
-        inc_l = inc.tolist()
-        fixed = [False] * nflows
-        rates = [0.0] * nflows
-        cnts_l = cnts.tolist()
-        caps_l = self._cap_np[rids].tolist()
-        # The bottleneck scan is the only numpy work per round: a bare
-        # C argmin over a fair-share array that is maintained
-        # *incrementally* — a resource's share ``caps/cnts`` only
-        # changes when the round's drain touches it, and division is
-        # deterministic, so the array always equals what the scalar
-        # loop recomputes from scratch each round.  Saturated resources
-        # (cnt == 0) carry ``inf``, exactly the entries the scalar scan
-        # skips (its strict ``<`` against an ``inf`` starting point
-        # never selects an infinite share).
-        shares = np.empty(nres, dtype=np.float64)
-        shares_seed = [caps_l[i] / cnts_l[i] for i in range(nres)]
-        shares[:] = shares_seed
-        nleft = nflows
-        while nleft:
-            b = int(np.argmin(shares))
-            s = float(shares[b])
-            if s == _INF:
-                # Defensive branch mirroring the scalar loop: no
-                # constraining resource selectable while flows remain.
-                for fi in range(nflows):
-                    if not fixed[fi]:
-                        rates[fi] = _INF
-                break
-            # Fix every unfixed flow crossing the bottleneck and drain
-            # its route: one *sequential* clamped subtraction per route
-            # occurrence (never a fused ``caps -= mult*s``, which would
-            # reassociate).  Python-float arithmetic is bit-identical
-            # to np.float64, so this inner walk matches the scalar
-            # loop's exactly.
-            touched = []
-            for fi in flows_by_res[ptr_l[b]:ptr_l[b + 1]]:
-                if not fixed[fi]:
-                    fixed[fi] = True
-                    rates[fi] = s
-                    nleft -= 1
-                    for o in range(off_l[fi], off_l[fi + 1]):
-                        i = inc_l[o]
-                        nc = caps_l[i] - s
-                        caps_l[i] = nc if nc > 0.0 else 0.0
-                        cnts_l[i] -= 1
-                        touched.append(i)
-            shares[touched] = [
-                caps_l[i] / c if (c := cnts_l[i]) > 0 else _INF
-                for i in touched]
-        for f, r in zip(comp, rates):
-            f.rate = r
 
     def _reschedule(self, flow: Flow, now: float) -> None:
         """Schedule the flow's completion — unless an event carrying the

@@ -44,7 +44,7 @@ class TestCellEnvironment:
 class TestAuditCell:
     @pytest.fixture(scope="class")
     def cell(self):
-        from repro.sim.params import PARAGON
+        from repro.core.params import PARAGON
         return sweep.audit_cell("bcast", ("line", 7), 256, PARAGON)
 
     def test_every_candidate_simulated(self, cell):
@@ -69,7 +69,7 @@ class TestAuditCell:
         assert len(blob["candidates"]) == len(cell.candidates)
 
     def test_mesh_cell_gets_mesh_candidates(self):
-        from repro.sim.params import PARAGON
+        from repro.core.params import PARAGON
         cell = sweep.audit_cell("bcast", ("col", 4, 5), 256, PARAGON)
         assert cell.mesh_shape is not None
         assert cell.p == 4
@@ -159,7 +159,7 @@ class TestReportCLI:
 
 class TestOracleCheck:
     def test_wrong_candidate_fails_check_and_never_wins(self, monkeypatch):
-        from repro.sim.params import PARAGON
+        from repro.core.params import PARAGON
         honest = sweep.audit_cell("bcast", ("line", 7), 256, PARAGON)
         target = next(c.strategy for c in honest.candidates
                       if c.strategy not in (honest.chosen, honest.best))

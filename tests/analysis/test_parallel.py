@@ -109,7 +109,7 @@ class TestParallelMap:
 
 class TestAuditSweepDeterminism:
     def test_parallel_sweep_equals_serial(self):
-        from repro.sim.params import preset
+        from repro.core.params import preset
         serial = audit.run_sweep(SMALL_GRID, preset("paragon"))
         parallel = audit.run_sweep(SMALL_GRID, preset("paragon"),
                                    workers=4)

@@ -6,9 +6,9 @@ real-process backend, and ``REPRO_AUTOTUNE`` / ``REPRO_CHAOS_CORPUS``
 change where the runtime and the autopilot read state from.  Each test
 gets a fresh, empty profile path and neither switch, so results never
 depend on the developer's home directory.  The knobs CI jobs set on
-purpose to choose what the suite runs (``REPRO_SIM_SCALAR``,
-``REPRO_SIM_VEC_MIN``, ``REPRO_SIM_DIFF_FULL``, ``REPRO_RUNTIME_FULL``,
-``REPRO_WORKERS``) are left alone.
+purpose to choose what the suite runs (``REPRO_RUNTIME_FULL``,
+``REPRO_WORKERS``) are left alone.  README.md's environment-variable
+table lists all five.
 """
 
 import pytest

@@ -65,20 +65,6 @@ def test_sim_engine_reexports_protocol_types():
     assert engine._Delay is protocol._Delay
 
 
-def test_sim_params_topology_shims_preserve_identity():
-    import repro.core.params as cp
-    import repro.core.topology as ct
-    import repro.sim.params as sp
-    import repro.sim.topology as st
-
-    assert sp.MachineParams is cp.MachineParams
-    assert sp.PARAGON is cp.PARAGON
-    assert st.Mesh2D is ct.Mesh2D
-    assert st.LinearArray is ct.LinearArray
-    # isinstance checks written against either path agree
-    assert isinstance(ct.Mesh2D(2, 2), st.Topology)
-
-
 class TestPayloadNbytes:
     def test_ndarray(self):
         assert payload_nbytes(np.zeros(10, dtype=np.float64)) == 80.0

@@ -6,7 +6,7 @@ import pytest
 
 from repro.sim import (DeadlockError, LinearArray, Machine, UNIT,
                        payload_nbytes)
-from repro.sim.params import MachineParams
+from repro.core.params import MachineParams
 
 
 class TestPayloadNbytes:

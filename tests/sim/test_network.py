@@ -8,13 +8,16 @@ messages coexist penalty-free.
 
 import heapq
 import itertools
+import math
 import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.sim import (FullyConnected, LinearArray, Machine, Mesh2D,
-                       MachineParams, UNIT)
+from repro.sim import (FullyConnected, Hypercube, LinearArray, Machine,
+                       Mesh2D, MachineParams, Torus2D, UNIT)
 from repro.sim.network import _EPS_BYTES, Flow, FluidNetwork
 
 
@@ -317,3 +320,116 @@ class TestFloatDriftClamp:
         run = m.run(prog)
         assert run.messages == len(sends)
         assert run.events <= 20 * run.messages + 4 * 10
+
+
+def bare_network(topology, params=UNIT):
+    """A FluidNetwork with no event loop: rates are read straight off
+    the flows after each start."""
+    return FluidNetwork(topology, params, schedule=lambda t, cb: None,
+                        complete=lambda token, t: None)
+
+
+class TestProgressiveFilling:
+    """Exact rates out of the max-min fill, and the fairness property."""
+
+    def test_zero_capacity_component_gets_rate_zero(self):
+        # a channel slowed by an infinite factor has capacity 0.0: the
+        # fill must hand out exactly zero, not divide into a blow-up
+        net = bare_network(FullyConnected(9))
+        flows = [net.start_flow(s, 8, 1000.0, 0.0, object())
+                 for s in range(4)]
+        for s in range(4):
+            net.apply_slowdown(s, 8, math.inf, 0.0)
+        assert [f.rate for f in flows] == [0.0] * 4
+
+    def test_single_flow_takes_its_route_capacity(self):
+        # a singleton component skips the fill; its rate is still the
+        # route's narrowest capacity
+        net = bare_network(FullyConnected(9))
+        assert net.start_flow(0, 1, 1000.0, 0.0, object()).rate == 1.0
+
+    def test_incast_gets_exact_share_of_ejection_port(self):
+        # the same IEEE quotient cap/k, not an approximation
+        for k in (2, 3, 5, 7):
+            net = bare_network(FullyConnected(9))
+            flows = [net.start_flow(s, 8, 1000.0, 0.0, object())
+                     for s in range(k)]
+            assert [f.rate for f in flows] == [1.0 / k] * k
+
+
+_TOPOLOGIES = [
+    LinearArray(8), Mesh2D(3, 4), Mesh2D(4, 4), Torus2D(3, 4),
+    Hypercube(4), FullyConnected(8),
+]
+
+
+@st.composite
+def _loaded_networks(draw):
+    """A random concurrent pattern on one of the topologies, with a
+    seeded subset of its channels slowed down mid-flight."""
+    topo = draw(st.sampled_from(_TOPOLOGIES))
+    n = topo.nnodes
+    pairs = draw(st.lists(
+        st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+        .filter(lambda sd: sd[0] != sd[1]),
+        min_size=1, max_size=16))
+    capacity = draw(st.sampled_from([1.0, 2.0, 4.0]))
+    seed = draw(st.integers(0, 2 ** 16))
+    return topo, pairs, capacity, seed
+
+
+def _assert_max_min_fair(net, flows, params, slow):
+    """Every resource carries at most its capacity, and every flow
+    crosses a saturated resource on which no other flow runs faster —
+    the defining property of the max-min fair allocation."""
+    def cap(r):
+        if r[0] in ("inj", "ej"):
+            return params.injection_bandwidth
+        return params.channel_bandwidth / slow.get(r[1:], 1.0)
+
+    on = {}
+    for f in flows:
+        for r in net.resources_of(f):
+            on.setdefault(r, []).append(f.rate)
+    for r, rates in on.items():
+        assert sum(rates) <= cap(r) * (1 + 1e-12), r
+    for f in flows:
+        assert any(
+            sum(on[r]) >= cap(r) * (1 - 1e-12)
+            and f.rate >= max(on[r]) * (1 - 1e-12)
+            for r in net.resources_of(f)), (f, slow)
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=_loaded_networks())
+def test_rates_are_max_min_fair(case):
+    topo, pairs, capacity, seed = case
+    params = UNIT.with_(link_capacity=capacity)
+    net = bare_network(topo, params)
+    flows = [net.start_flow(s, d, 500.0, 0.0, object()) for s, d in pairs]
+    rng = random.Random(seed)
+    chans = sorted({ch for s, d in pairs for ch in topo.route(s, d)})
+    slow = {ch: 1.0 + 3.0 * rng.random()
+            for ch in rng.sample(chans, rng.randint(0, len(chans)))}
+    for (u, v), factor in slow.items():
+        net.apply_slowdown(u, v, factor, 0.0)
+    _assert_max_min_fair(net, flows, params, slow)
+
+
+def test_seeded_small_components_are_max_min_fair():
+    """A brute seeded sweep of tiny patterns on one crossbar, some of
+    their channels slowed mid-flight: the one- and two-flow components
+    that hypothesis rarely dwells on."""
+    for seed in range(10):
+        rng = random.Random(seed)
+        pairs = sorted({(rng.randrange(9), rng.randrange(9))
+                        for _ in range(rng.randint(1, 8))})
+        pairs = [(s, d) for s, d in pairs if s != d]
+        net = bare_network(FullyConnected(9))
+        flows = [net.start_flow(s, d, 500.0, 0.0, object())
+                 for s, d in pairs]
+        slow = {ch: 1.0 + 3.0 * rng.random()
+                for ch in pairs[:rng.randint(0, len(pairs))]}
+        for (u, v), factor in slow.items():
+            net.apply_slowdown(u, v, factor, 0.0)
+        _assert_max_min_fair(net, flows, UNIT, slow)

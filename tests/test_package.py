@@ -1,6 +1,12 @@
 """Package-level surface tests: the documented entry points exist."""
 
+import os
+import re
+
 import repro
+
+_REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+_KNOB = re.compile(r"REPRO_[A-Z_]+")
 
 
 class TestPublicSurface:
@@ -35,3 +41,21 @@ class TestPublicSurface:
         import repro.extensions
         import repro.sim
         assert repro.sim.Machine is repro.Machine
+
+
+def test_every_env_knob_is_in_the_readme_table():
+    """The README's environment-variable table lists exactly the
+    ``REPRO_*`` names the code, tests, benchmarks and CI use."""
+    used = set()
+    for top in ("src", "tests", "benchmarks",
+                os.path.join(".github", "workflows")):
+        for root, dirs, files in os.walk(os.path.join(_REPO, top)):
+            dirs[:] = [d for d in dirs if d != "__pycache__"]
+            for name in files:
+                with open(os.path.join(root, name),
+                          errors="ignore") as f:
+                    used |= set(_KNOB.findall(f.read()))
+    with open(os.path.join(_REPO, "README.md")) as f:
+        table = {m.group(1) for m in
+                 re.finditer(r"^\| `(REPRO_[A-Z_]+)` \|", f.read(), re.M)}
+    assert used == table
