@@ -30,8 +30,8 @@ Performance notes (see ``docs/performance.md``)
 -----------------------------------------------
 The hot path of every simulated message is ``start_flow`` -> one or two
 max-min recomputations -> a completion event.  Every recomputation runs
-one progressive-filling loop, :meth:`FluidNetwork._fill_scalar`.  To
-keep that path cheap:
+one progressive-filling loop, :meth:`FluidNetwork._fill`.  To keep
+that path cheap:
 
 * **Resource interning.**  Resources (``("inj", node)``, ``("ch", u, v)``,
   ``("ej", node)``) are interned to dense integer ids at first use;
@@ -49,6 +49,12 @@ keep that path cheap:
 * **Stamped component walks.**  Component discovery and the progressive
   filling bookkeeping use generation stamps on flows/resources instead
   of per-call ``set``/``dict`` allocations.
+* **Heap-keyed bottlenecks.**  Each filling round takes its bottleneck
+  from a lazily invalidated min-heap of ``(share, first-seen position)``
+  keys instead of rescanning every resource, so a recomputation costs
+  heap operations per round plus one update per route occurrence, not
+  rounds x resources.  The pick and the arithmetic are the textbook
+  scan's exactly.
 * **Completion-event elision.**  A recomputation that leaves a flow's
   predicted finish time bit-identical (the common case when several
   flows start at one timestamp) keeps the already-scheduled completion
@@ -64,6 +70,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from heapq import heapify, heappop, heappush
 from typing import Callable, Dict, List, Optional, Tuple
 
 from ..core.params import MachineParams
@@ -374,9 +381,6 @@ class FluidNetwork:
             self._recompute_component(f, now)
         return victims
 
-    def _capacity(self, r: Resource) -> float:
-        return self._port_cap if r[0] in ("inj", "ej") else self._chan_cap
-
     def _component(self, seed: Flow) -> List[Flow]:
         """All active flows transitively sharing a resource with ``seed``.
 
@@ -457,20 +461,30 @@ class FluidNetwork:
         # Progressive filling (max-min fairness).  Only the resources
         # used by component flows matter; by construction no flow
         # outside the component crosses them.
-        self._fill_scalar(comp)
+        self._fill(comp)
 
         # Reschedule completion events at the new rates.
         for f in comp:
             self._reschedule(f, now)
 
-    def _fill_scalar(self, comp: List[Flow]) -> None:
-        """Textbook progressive filling over Python scratch lists.
+    def _fill(self, comp: List[Flow]) -> None:
+        """Textbook progressive filling, bottlenecks drawn from a heap.
 
-        Capacities and counts live in scratch arrays indexed by
-        first-seen position; the arithmetic (one division per resource
-        per scan, one clamped subtraction per fixed flow per resource)
-        is identical to the textbook formulation, so results match it
-        bit-for-bit.
+        Capacities and counts live in scratch lists indexed by
+        first-seen position.  Each round fixes the flows of the resource
+        with the smallest share ``caps[i] / cnts[i]``, ties going to the
+        lowest position — exactly the resource a full scan with strict
+        ``<`` picks — and drains one clamped subtraction per route
+        occurrence, so results match the textbook scan bit-for-bit.
+
+        The heap holds ``(key, position)`` entries, invalidated lazily:
+        every unsaturated resource has an entry whose key is a *lower
+        bound* on its share (``keys[i]`` is the newest).  A popped entry
+        whose key equals the current share is therefore the argmin; one
+        whose share has grown is pushed back once at the new share.
+        Draining only raises shares in exact arithmetic, so an eager
+        push is needed only when rounding or the ``0.0`` clamp lowers a
+        share below its key.
         """
         res_flows = self._res_flows
         self._stamp += 1
@@ -492,37 +506,38 @@ class FluidNetwork:
                 else:
                     cnts[rpos[rid]] += 1
 
+        keys = [c / n for c, n in zip(caps, cnts)]
+        heap = list(zip(keys, range(len(keys))))
+        heapify(heap)
         nleft = len(comp)
-        nres = len(rids)
+        # every unfixed flow keeps its finite-capacity ports unsaturated,
+        # so the heap cannot run dry while nleft > 0
         while nleft:
-            bottleneck_share = _INF
-            bottleneck = -1
-            for i in range(nres):
-                c = cnts[i]
-                if c > 0:
-                    share = caps[i] / c
-                    if share < bottleneck_share:
-                        bottleneck_share = share
-                        bottleneck = i
-            if bottleneck < 0:
-                # No constraining resources left (cannot happen while
-                # unfixed flows remain, since every flow crosses >= 2
-                # resources) — defensive break.
-                for f in comp:
-                    if f._fstamp != stamp:
-                        f._fstamp = stamp
-                        f.rate = _INF
-                break
-            for f in list(res_flows[rids[bottleneck]]):
+            key, b = heappop(heap)
+            c = cnts[b]
+            if not c:
+                continue  # saturated since this entry was pushed
+            share = caps[b] / c
+            if share != key:
+                # the share has grown since this key: re-key it once
+                keys[b] = share
+                heappush(heap, (share, b))
+                continue
+            for f in res_flows[rids[b]]:
                 if f._fstamp != stamp:
                     f._fstamp = stamp
-                    f.rate = bottleneck_share
+                    f.rate = share
                     nleft -= 1
                     for rid in f.route:
                         i = rpos[rid]
-                        nc = caps[i] - bottleneck_share
-                        caps[i] = nc if nc > 0.0 else 0.0
-                        cnts[i] -= 1
+                        nc = caps[i] - share
+                        nc = caps[i] = nc if nc > 0.0 else 0.0
+                        c = cnts[i] = cnts[i] - 1
+                        if c and nc / c < keys[i]:
+                            # rounding or the clamp lowered the share
+                            # below its key: keep the key a lower bound
+                            k = keys[i] = nc / c
+                            heappush(heap, (k, i))
 
     def _reschedule(self, flow: Flow, now: float) -> None:
         """Schedule the flow's completion — unless an event carrying the
