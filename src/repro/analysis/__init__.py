@@ -8,11 +8,10 @@ from .calibrate import (TrialSample, aggregate_trials, calibrate,
                         fit_alpha_beta, measure_gamma, measure_overhead,
                         measure_pingpong, measure_pingpong_trials,
                         trial_spread)
-from .sweep import (OPERATION_PROGRAMS, Series, TABLE3_LENGTHS, byte_grid,
-                    elements_for, run_operation, sweep_operation)
+from .sweep import (Series, TABLE3_LENGTHS, byte_grid, elements_for,
+                    run_operation, sweep_operation)
 from .tables import format_table, human_bytes, write_csv
 from .svg_plot import render_svg, write_svg
-from .timeline import render_timeline, utilization
 
 __all__ = [
     "plot_series", "series_to_rows",
@@ -21,9 +20,8 @@ __all__ = [
     "TrialSample", "aggregate_trials", "calibrate", "fit_alpha_beta",
     "measure_gamma", "measure_overhead", "measure_pingpong",
     "measure_pingpong_trials", "trial_spread",
-    "OPERATION_PROGRAMS", "Series", "TABLE3_LENGTHS", "byte_grid",
+    "Series", "TABLE3_LENGTHS", "byte_grid",
     "elements_for", "run_operation", "sweep_operation",
     "format_table", "human_bytes", "write_csv",
     "render_svg", "write_svg",
-    "render_timeline", "utilization",
 ]

@@ -29,7 +29,7 @@ import math
 from dataclasses import dataclass
 from typing import Dict, List
 
-from ..sim.trace import MessageRecord, Tracer
+from ..obs.trace import MessageRecord, Tracer
 
 
 @dataclass(frozen=True)

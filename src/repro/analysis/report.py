@@ -33,6 +33,8 @@ import os
 import sys
 from typing import Dict, List, Optional, Sequence
 
+from ..obs.trace import write_chrome_trace
+
 #: Paper reference values for Table 3 (operation, bytes) -> ratio.
 PAPER_TABLE3 = {
     ("broadcast", 8): 0.92,
@@ -203,7 +205,6 @@ def trace_main_runtime(op: str, p: int, nbytes: int, algorithm: str,
     Chrome/Perfetto trace (one process track per rank, send->recv flow
     arrows), and prints the predicted-vs-measured audit pairing.
     """
-    from ..obs.runtime import write_chrome_trace
     from ..runtime.launch import ProcessMachine
 
     if op not in TRACE_OPS:
@@ -228,7 +229,6 @@ def trace_main(op: str, p: int, nbytes: int, params_name: str,
                algorithm: str, out_path: str, timescale: float) -> int:
     from ..obs.metrics import busiest
     from ..core.params import preset
-    from ..sim.trace import write_chrome_trace
     from .critpath import critical_path, render_critical_path
 
     res = run_traced_scenario(op, p, nbytes, params_name, algorithm)

@@ -14,7 +14,8 @@ from typing import Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
-from ..core import api
+from ..chaos.generator import ChaosCase
+from ..chaos.oracles import make_program, mismatched_ranks
 from ..sim.machine import Machine, RunResult
 
 
@@ -62,69 +63,20 @@ def elements_for(nbytes: int, dtype=np.float64) -> int:
     return max(1, nbytes // itemsize)
 
 
-# ----------------------------------------------------------------------
-# canned SPMD programs per operation
-# ----------------------------------------------------------------------
-
-def _bcast_program(env, n, algorithm, check):
-    x = np.arange(n, dtype=np.float64) if env.rank == 0 else None
-    out = yield from api.bcast(env, x, root=0, total=n,
-                               algorithm=algorithm)
-    return bool(check) and bool(np.array_equal(
-        out, np.arange(n, dtype=np.float64)))
-
-
-def _collect_program(env, n, algorithm, check):
-    from ..core.partition import partition_offsets, partition_sizes
-    p = env.nranks
-    sizes = partition_sizes(n, p)
-    offs = partition_offsets(sizes)
-    mine = np.arange(offs[env.rank], offs[env.rank + 1], dtype=np.float64)
-    out = yield from api.collect(env, mine, sizes=sizes,
-                                 algorithm=algorithm)
-    return bool(check) and bool(np.array_equal(
-        out, np.arange(n, dtype=np.float64)))
-
-
-def _allreduce_program(env, n, algorithm, check):
-    v = np.full(n, 1.0)
-    out = yield from api.allreduce(env, v, "sum", algorithm=algorithm)
-    return bool(check) and bool(np.allclose(out, float(env.nranks)))
-
-
-def _reduce_program(env, n, algorithm, check):
-    v = np.full(n, 1.0)
-    out = yield from api.reduce(env, v, "sum", 0, algorithm=algorithm)
-    if env.rank != 0:
-        return True
-    return bool(check) and bool(np.allclose(out, float(env.nranks)))
-
-
-def _reduce_scatter_program(env, n, algorithm, check):
-    v = np.full(n, 1.0)
-    out = yield from api.reduce_scatter(env, v, "sum",
-                                        algorithm=algorithm)
-    return bool(check) and bool(np.allclose(out, float(env.nranks)))
-
-
-OPERATION_PROGRAMS: Dict[str, Callable] = {
-    "bcast": _bcast_program,
-    "collect": _collect_program,
-    "allreduce": _allreduce_program,
-    "reduce": _reduce_program,
-    "reduce_scatter": _reduce_scatter_program,
-}
-
-
 def run_operation(machine: Machine, operation: str, nbytes: int,
                   algorithm="auto", check: bool = True) -> RunResult:
     """One simulated collective over the whole machine; raises if any
-    rank's result fails its self-check."""
-    prog = OPERATION_PROGRAMS[operation]
-    n = elements_for(nbytes)
-    result = machine.run(prog, n, algorithm, check)
-    if check and not all(result.results):
-        bad = [i for i, ok in enumerate(result.results) if not ok]
+    rank's result fails the collective-case oracle.
+
+    Runs the shared program of :mod:`repro.chaos.oracles`; the case's
+    topology only fixes the rank count, the run uses ``machine``.
+    """
+    case = ChaosCase(topo=("linear", machine.topology.nnodes), params="",
+                     op=operation, n=elements_for(nbytes), dtype="float64",
+                     group=None, profile="none")
+    result = machine.run(make_program(case, algorithm))
+    bad = mismatched_ranks(case, result.results) if check else []
+    if bad:
         raise AssertionError(
             f"{operation} self-check failed on ranks {bad[:8]}")
     return result

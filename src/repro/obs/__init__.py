@@ -1,24 +1,30 @@
 """``repro.obs`` — the observability layer of the reproduction.
 
 One namespace gathering everything needed to see *where time goes* in a
-simulated collective, the measurement substrate the paper's section 6
-heuristics and Table 2 conflict analysis rest on:
+collective, simulated or on real processes — the measurement substrate
+the paper's section 6 heuristics and Table 2 conflict analysis rest on:
 
 * **channel metrics** (:mod:`repro.obs.metrics`) — per-channel/per-port
   busy time, bytes, peak concurrency and time-weighted sharing factor,
   collected passively by the fluid network and exposed as
   ``RunResult.channel_metrics``;
-* **stage spans** (:class:`repro.sim.trace.SpanRecord`) — the hybrid
-  and composed collectives wrap every dimension/stage (scatter, MST
-  kernel, collect, ...) in enter/exit records on the
-  :class:`~repro.sim.trace.Tracer`, so a run decomposes into the
-  paper's alpha/beta/gamma stages instead of a flat message soup;
+* **one trace model** (:mod:`repro.obs.trace`) — the
+  :class:`~repro.obs.trace.Tracer` of message, stage-span, mark and
+  fault records that both backends fill: the hybrid and composed
+  collectives wrap every dimension/stage (scatter, MST kernel, collect,
+  ...) in enter/exit :class:`~repro.obs.trace.SpanRecord`, so a run
+  decomposes into the paper's alpha/beta/gamma stages instead of a flat
+  message soup;
 * **critical path** (:mod:`repro.analysis.critpath`) — the longest
   dependency chain of rendezvous -> completion edges, with attributed
   alpha/beta time per hop;
-* **trace export** (:func:`repro.sim.trace.chrome_trace`) — Chrome
-  ``chrome://tracing`` / Perfetto JSON, via
-  ``python -m repro.analysis.report --trace ...``;
+* **trace export** (:func:`repro.obs.trace.chrome_trace`) — Chrome
+  ``chrome://tracing`` / Perfetto JSON in one per-rank layout for
+  simulated and real runs, via ``python -m repro.analysis.report
+  --trace ...``;
+* **runtime tracing** (:mod:`repro.obs.runtime`) — per-rank wall-clock
+  collectors on real processes, clock alignment, and the merge into a
+  :class:`~repro.obs.runtime.RuntimeTrace` (a ``Tracer``);
 * **model audit** (:mod:`repro.obs.audit`) — predicted-vs-measured cost
   tracking for ``algorithm="auto"`` dispatch (``RunResult.audit``), the
   conflict-freedom verifier for the four building blocks, and
@@ -30,23 +36,22 @@ Everything is zero-cost when disabled and strictly passive when
 enabled: the golden-equivalence corpus is bit-identical with
 instrumentation off and on.  See ``docs/observability.md``.
 
-Submodules of :mod:`repro.sim` import :mod:`repro.obs.metrics`
-directly; this facade therefore resolves its sim/analysis re-exports
-lazily (PEP 562) so the two packages never form an import cycle.
+Submodules of :mod:`repro.sim` import :mod:`repro.obs.metrics` and
+:mod:`repro.obs.trace` (both stdlib-only) directly; this facade
+therefore resolves its analysis/audit/runtime re-exports lazily
+(PEP 562) so the packages never form an import cycle and rank processes
+stay light.
 """
 
 from __future__ import annotations
 
 from .metrics import (ChannelStats, ResourceMetrics, busiest, channels_only,
                       total_contention)
+from .trace import (FaultRecord, MessageRecord, SpanRecord, Tracer,
+                    chrome_trace, write_chrome_trace)
 
 #: facade name -> (module, attribute)
 _LAZY = {
-    "SpanRecord": ("repro.sim.trace", "SpanRecord"),
-    "Tracer": ("repro.sim.trace", "Tracer"),
-    "MessageRecord": ("repro.sim.trace", "MessageRecord"),
-    "chrome_trace": ("repro.sim.trace", "chrome_trace"),
-    "write_chrome_trace": ("repro.sim.trace", "write_chrome_trace"),
     "CritSpan": ("repro.analysis.critpath", "CritSpan"),
     "critical_path": ("repro.analysis.critpath", "critical_path"),
     "critical_path_summary": ("repro.analysis.critpath",
@@ -67,7 +72,7 @@ _LAZY = {
     "fit_drift": ("repro.obs.audit", "fit_drift"),
     "drift_from_runs": ("repro.obs.audit", "drift_from_runs"),
     # runtime (real-process) tracing: per-rank wall-clock collector,
-    # clock alignment, merged multi-process trace + Perfetto export
+    # clock alignment, merged multi-process trace
     # (lazy so `import repro.obs` stays light inside rank processes)
     "RuntimeTracer": ("repro.obs.runtime", "RuntimeTracer"),
     "RuntimeTrace": ("repro.obs.runtime", "RuntimeTrace"),
@@ -76,14 +81,13 @@ _LAZY = {
                               "estimate_clock_offset"),
     "sync_clocks": ("repro.obs.runtime", "sync_clocks"),
     "merge_rank_traces": ("repro.obs.runtime", "merge_rank_traces"),
-    "runtime_chrome_trace": ("repro.obs.runtime", "chrome_trace"),
-    "write_runtime_chrome_trace": ("repro.obs.runtime",
-                                   "write_chrome_trace"),
 }
 
 __all__ = [
     "ChannelStats", "ResourceMetrics", "busiest", "channels_only",
     "total_contention",
+    "FaultRecord", "MessageRecord", "SpanRecord", "Tracer",
+    "chrome_trace", "write_chrome_trace",
     *_LAZY,
 ]
 

@@ -51,6 +51,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from .trace import MessageRecord, Tracer
+
 #: tolerance for assigning a message to an op span's time window
 _WINDOW_RTOL = 1e-9
 
@@ -154,26 +156,13 @@ class RunAudit:
                 "entries": [e.to_json() for e in self.entries]}
 
 
-class _WindowTrace:
-    """Minimal tracer view over the messages inside one time window —
-    exactly the surface :func:`repro.analysis.critpath.critical_path`
-    touches."""
-
-    def __init__(self, messages):
-        self._messages = messages
-
-    def completed(self):
-        return self._messages
-
-
-def _shift(m, t0: float):
+def _shift(m: MessageRecord, t0: float) -> MessageRecord:
     """Copy of a message record rebased to a window origin ``t0``.
 
     Critical-path extraction measures wait from time zero, so windowed
     sub-traces must be rebased or everything before the window would be
     misattributed as wait on the first hop.
     """
-    from ..sim.trace import MessageRecord
     return MessageRecord(
         src=m.src, dst=m.dst, tag=m.tag, nbytes=m.nbytes,
         t_send_post=m.t_send_post - t0, t_recv_post=m.t_recv_post - t0,
@@ -259,13 +248,15 @@ def audit_run(run) -> RunAudit:
         operation = group[0].label
 
         tol = _WINDOW_RTOL * max(1.0, abs(t1))
-        window = [_shift(m, t0) for m in completed
-                  if m.t_match >= t0 - tol and m.t_complete <= t1 + tol]
+        window = Tracer()
+        window.messages = [_shift(m, t0) for m in completed
+                           if m.t_match >= t0 - tol
+                           and m.t_complete <= t1 + tol]
         cp_summary = None
-        if window:
+        if window.messages:
             alpha = params.alpha if params is not None else 0.0
             cp_summary = critical_path_summary(
-                critical_path(_WindowTrace(window), alpha=alpha))
+                critical_path(window, alpha=alpha))
 
         terms = None
         if (predicted is not None and params is not None

@@ -30,26 +30,24 @@ intra-cluster collectives (Barchet-Estefanel & Mounié):
   honest about how aligned it is.
 * **Merge** — each rank dumps its events as one JSONL file
   (:meth:`RuntimeTracer.dump_jsonl`); the launcher parent merges them
-  (:func:`merge_rank_traces`) into a :class:`RuntimeTrace`: all
-  timestamps rebased onto the reference rank's timeline, send posts
-  paired with their matches into
-  :class:`~repro.sim.trace.MessageRecord`-compatible records (the
-  per-pair FIFO matching rule makes the pairing a deterministic
-  ``(src, dst, tag, seq)`` join), spans materialised as
-  :class:`~repro.sim.trace.SpanRecord`.  The merge is a pure function
-  of the input files — merging the same JSONL twice is byte-identical
-  (pinned by the test suite).
-* **Export** — :func:`chrome_trace` renders the merged trace as Chrome
-  Trace Event / Perfetto JSON with one *process* track per rank
-  (stages + marks on one thread lane, message transfers on another)
-  and **flow arrows** from every matched send to its receive.
+  (:func:`merge_rank_traces`) into a :class:`RuntimeTrace`, a
+  :class:`~repro.obs.trace.Tracer`: all timestamps rebased onto the
+  reference rank's timeline, send posts paired with their matches into
+  :class:`~repro.obs.trace.MessageRecord` (the per-pair FIFO matching
+  rule makes the pairing a deterministic ``(src, dst, tag, seq)``
+  join), spans materialised as :class:`~repro.obs.trace.SpanRecord`.
+  The merge is a pure function of the input files — merging the same
+  JSONL twice is byte-identical (pinned by the test suite).  It
+  exports with :func:`repro.obs.trace.write_chrome_trace`, the one
+  Chrome exporter of both backends.
 
 Collection is deliberately light: the rank-side hot path appends plain
 dicts to a list (no JSON, no I/O until the program finishes), and the
 trace-overhead gate in ``benchmarks/runtime/run.py`` holds the traced
 ping-pong within 10% of the untraced one.  This module imports nothing
-heavy at module scope so rank processes stay lean; the sim record
-types are imported lazily in the parent-side merge path.
+heavy at module scope (the record types come from the stdlib-only
+:mod:`repro.obs.trace`), so rank processes stay lean and never load the
+simulator.
 """
 
 from __future__ import annotations
@@ -59,6 +57,8 @@ import math
 import os
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple
+
+from .trace import MessageRecord, SpanRecord, Tracer
 
 #: reserved tag for the rendezvous clock-sync exchange; negative so it
 #: can never collide with a collective context tag (those are >= 0)
@@ -177,7 +177,7 @@ def sync_clocks(env, active: Sequence[int],
 class RuntimeTracer:
     """Collects one rank's spans, marks and message events (wall clock).
 
-    Satisfies the span surface of :class:`repro.sim.trace.Tracer` that
+    Satisfies the span surface of :class:`repro.obs.trace.Tracer` that
     :class:`~repro.core.context.CollContext` drives (``span_open`` /
     ``span_close`` / ``mark``), so collective stage spans and
     auto-dispatch prediction capture work unchanged.  The message hooks
@@ -310,51 +310,31 @@ class RuntimeTracer:
 # ----------------------------------------------------------------------
 
 
-class RuntimeTrace:
+class RuntimeTrace(Tracer):
     """The merged multi-rank trace, on one aligned timeline.
 
-    Exposes the read surface :func:`repro.obs.audit.audit_run` and the
-    Chrome exporter need: ``spans`` / ``op_spans()`` /
-    ``spans_by_phase()`` (as :class:`~repro.sim.trace.SpanRecord`),
-    ``messages`` / ``completed()`` (as
-    :class:`~repro.sim.trace.MessageRecord`, with ``t_complete`` the
-    match instant — on the eager transport the payload is in the
-    receiver's hands the moment it matches), ``marks``, plus per-rank
-    :class:`ClockEstimate` in ``clocks`` and the raw per-rank event
-    lists in ``rank_events``.
+    A :class:`~repro.obs.trace.Tracer`, so the audit layer, the
+    critical path and the Chrome exporter read it exactly as they read
+    a simulated trace.  Every matched message has ``t_complete`` equal
+    to its match instant: on the eager transport the payload is in the
+    receiver's hands the moment it matches.  On top of the records it
+    carries the per-rank :class:`ClockEstimate` in ``clocks`` and the
+    raw per-rank event lists in ``rank_events``.
     """
 
     def __init__(self, ranks: Sequence[int],
                  clocks: Dict[int, ClockEstimate],
-                 spans: List[Any], marks: List[Tuple[float, int, str]],
-                 messages: List[Any],
+                 spans: List[SpanRecord],
+                 marks: List[Tuple[float, int, str]],
+                 messages: List[MessageRecord],
                  rank_events: Dict[int, List[Dict[str, Any]]]):
+        super().__init__()
         self.ranks = sorted(ranks)
         self.clocks = clocks
         self.spans = spans
         self.marks = marks
         self.messages = messages
         self.rank_events = rank_events
-
-    # Tracer-compatible queries (the audit layer reads these)
-
-    def completed(self) -> List[Any]:
-        return [m for m in self.messages if not math.isnan(m.t_match)]
-
-    def closed_spans(self) -> List[Any]:
-        return [s for s in self.spans if s.closed]
-
-    def spans_of(self, rank: int) -> List[Any]:
-        return [s for s in self.spans if s.rank == rank]
-
-    def spans_by_phase(self, phase: str) -> List[Any]:
-        return [s for s in self.spans if s.phase == phase and s.closed]
-
-    def op_spans(self) -> List[Any]:
-        return self.spans_by_phase("op")
-
-    def message_count(self) -> int:
-        return len(self.messages)
 
     def max_uncertainty_s(self) -> float:
         """The worst per-rank clock-alignment error bound."""
@@ -398,8 +378,6 @@ def merge_rank_traces(sources: Sequence[Any]) -> RuntimeTrace:
     iteration ambiguity — so merging the same files twice yields
     byte-identical exports.
     """
-    from ..sim.trace import MessageRecord, SpanRecord
-
     parsed = []
     for src in sources:
         header, events = _parse_jsonl(src)
@@ -410,7 +388,7 @@ def merge_rank_traces(sources: Sequence[Any]) -> RuntimeTrace:
         raise ValueError(f"duplicate ranks in trace set: {ranks}")
 
     clocks: Dict[int, ClockEstimate] = {}
-    spans: List[Any] = []
+    spans: List[SpanRecord] = []
     marks: List[Tuple[float, int, str]] = []
     rank_events: Dict[int, List[Dict[str, Any]]] = {}
     #: (src, dst, tag) -> seq -> {"t": aligned send post, "nbytes": ...}
@@ -452,7 +430,7 @@ def merge_rank_traces(sources: Sequence[Any]) -> RuntimeTrace:
                     (ev["seq"], ev["t"] + off))
             # "drain" events stay available through rank_events
 
-    messages: List[Any] = []
+    messages: List[MessageRecord] = []
     for key in sorted(matches):
         dst, src, tag = key
         posts = recv_posts.get(key, [])
@@ -481,96 +459,3 @@ def merge_rank_traces(sources: Sequence[Any]) -> RuntimeTrace:
     return RuntimeTrace(ranks=ranks, clocks=clocks, spans=spans,
                         marks=marks, messages=messages,
                         rank_events=rank_events)
-
-
-# ----------------------------------------------------------------------
-# Chrome-trace (Perfetto) export: one process track per rank
-# ----------------------------------------------------------------------
-
-#: thread id of the stage/span lane inside each rank's process track
-_TID_STAGES = 0
-#: thread id of the message-transfer lane inside each rank's track
-_TID_MESSAGES = 1
-
-
-def chrome_trace(trace: RuntimeTrace, timescale: float = 1e6) -> Dict:
-    """Merged multi-process Chrome Trace Event JSON.
-
-    Layout mirrors real multi-process profilers: **one process track
-    per rank** (pid = rank, named with the rank's clock-alignment
-    uncertainty), a ``stages`` thread carrying the nested collective
-    spans and marks, and a ``messages`` thread with one slice per
-    transfer (send post -> match, i.e. the in-flight window) plus the
-    receive-wait slice on the receiver.  Every matched message gets a
-    **flow arrow** (``ph: "s"`` at the send post, ``ph: "f"`` at the
-    match) so the viewer draws the send -> recv dependency across rank
-    tracks.
-    """
-    events: List[Dict] = []
-    for rank in trace.ranks:
-        clock = trace.clocks.get(rank)
-        unc = (f" (±{clock.uncertainty_s * 1e6:.0f}us)"
-               if clock is not None and clock.probes else "")
-        events.append({"ph": "M", "pid": rank, "name": "process_name",
-                       "args": {"name": f"rank {rank}{unc}"}})
-        events.append({"ph": "M", "pid": rank, "tid": _TID_STAGES,
-                       "name": "thread_name",
-                       "args": {"name": "stages"}})
-        events.append({"ph": "M", "pid": rank, "tid": _TID_MESSAGES,
-                       "name": "thread_name",
-                       "args": {"name": "messages"}})
-    for s in trace.spans:
-        if not s.closed:
-            continue
-        ev = {"name": s.label, "cat": s.phase or "span", "ph": "X",
-              "ts": s.t_start * timescale,
-              "dur": max(s.t_end - s.t_start, 0.0) * timescale,
-              "pid": s.rank, "tid": _TID_STAGES}
-        if s.attrs:
-            ev["args"] = {k: str(v) for k, v in s.attrs.items()}
-        events.append(ev)
-    for t, rank, label in trace.marks:
-        events.append({"name": label, "cat": "mark", "ph": "i",
-                       "ts": t * timescale, "pid": rank,
-                       "tid": _TID_STAGES, "s": "t"})
-    flow_id = 0
-    for m in trace.messages:
-        if math.isnan(m.t_match):
-            continue  # unmatched send: no arrow target
-        name = f"{m.src}->{m.dst}"
-        args = {"nbytes": m.nbytes, "tag": m.tag}
-        if not math.isnan(m.t_send_post):
-            events.append({
-                "name": name, "cat": "message", "ph": "X",
-                "ts": m.t_send_post * timescale,
-                "dur": max(m.t_match - m.t_send_post, 0.0) * timescale,
-                "pid": m.src, "tid": _TID_MESSAGES, "args": args})
-        t_wait = (m.t_recv_post if not math.isnan(m.t_recv_post)
-                  else m.t_match)
-        t_wait = min(t_wait, m.t_match)
-        events.append({
-            "name": f"recv {name}", "cat": "message", "ph": "X",
-            "ts": t_wait * timescale,
-            "dur": (m.t_match - t_wait) * timescale,
-            "pid": m.dst, "tid": _TID_MESSAGES, "args": args})
-        if not math.isnan(m.t_send_post) and m.src != m.dst:
-            events.append({"name": "msg", "cat": "flow", "ph": "s",
-                           "id": flow_id,
-                           "ts": m.t_send_post * timescale,
-                           "pid": m.src, "tid": _TID_MESSAGES})
-            events.append({"name": "msg", "cat": "flow", "ph": "f",
-                           "bp": "e", "id": flow_id,
-                           "ts": m.t_match * timescale,
-                           "pid": m.dst, "tid": _TID_MESSAGES})
-            flow_id += 1
-    return {"traceEvents": events, "displayTimeUnit": "ms"}
-
-
-def write_chrome_trace(trace: RuntimeTrace, path: str,
-                       timescale: float = 1e6) -> str:
-    """Write the merged Chrome-trace JSON for ``trace`` to ``path``."""
-    with open(path, "w") as f:
-        json.dump(chrome_trace(trace, timescale=timescale), f,
-                  sort_keys=True)
-        f.write("\n")
-    return path

@@ -1,20 +1,25 @@
-"""Structured tracing of simulated message traffic and collective stages.
+"""The one trace model of both backends, and its Chrome exporter.
 
-A :class:`Tracer` collects:
+A :class:`Tracer` holds:
 
 * one :class:`MessageRecord` per point-to-point message — the Figure 1
-  style step-by-step tables and the conflict-model tests read these;
+  style step-by-step tables, the critical path and the conflict-model
+  tests read these;
 * :class:`SpanRecord` enter/exit spans — the hybrid and composed
   collectives wrap each dimension/stage (scatter, MST kernel, collect,
   ...) in spans, so a run decomposes into the paper's alpha/beta/gamma
   stages instead of a flat message soup (see docs/observability.md);
-* zero-cost ``mark`` annotations.
+* zero-cost ``mark`` annotations and injected-fault records.
 
-The whole trace can be exported to the Chrome ``chrome://tracing`` /
-Perfetto JSON format with :func:`chrome_trace` /
-:func:`write_chrome_trace` and opened in a real trace viewer
-(``python -m repro.analysis.report --trace ...`` does this for the
-benchmark scenarios).
+The simulator fills a :class:`Tracer` directly as it runs; the process
+backend merges per-rank wall-clock files into
+:class:`~repro.obs.runtime.RuntimeTrace`, a subclass that adds the
+per-rank clock estimates.  Either one exports to the Chrome
+``chrome://tracing`` / Perfetto JSON format with :func:`chrome_trace` /
+:func:`write_chrome_trace` in one layout.
+
+Stdlib only: rank processes import this module, and the process
+backend must not load the simulator.
 """
 
 from __future__ import annotations
@@ -22,7 +27,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 #: relative tolerance under which two rendezvous times are considered
 #: the same "step": float noise from the fluid model's settle/eta
@@ -105,6 +110,13 @@ class FaultRecord:
 
 class Tracer:
     """Accumulates message, span, mark and fault records during one run."""
+
+    #: ranks that get a track in the Chrome export even if they own no
+    #: record (a merged runtime trace lists every rank that wrote a file)
+    ranks: Sequence[int] = ()
+    #: per-rank clock-alignment estimates (``probes``,
+    #: ``uncertainty_s``); empty when every rank reads one clock
+    clocks: Mapping[int, Any] = {}
 
     def __init__(self) -> None:
         self.messages: List[MessageRecord] = []
@@ -233,74 +245,103 @@ class Tracer:
 
 
 # ----------------------------------------------------------------------
-# Chrome-trace (chrome://tracing / Perfetto) export
+# Chrome-trace (Perfetto) export: one process track per rank
 # ----------------------------------------------------------------------
 
-#: pid of the per-rank stage/span lanes in the exported trace
-_PID_RANKS = 0
-#: pid of the per-sender message-transfer lanes
-_PID_MESSAGES = 1
+#: thread id of the stage/span lane inside each rank's process track
+_TID_STAGES = 0
+#: thread id of the message-transfer lane inside each rank's track
+_TID_MESSAGES = 1
 
 
 def chrome_trace(tracer: Tracer, timescale: float = 1e6) -> Dict:
     """Convert a trace into the Chrome Trace Event JSON format.
 
     The result can be dumped with :func:`write_chrome_trace` and opened
-    in ``chrome://tracing`` or https://ui.perfetto.dev.  Layout:
+    in ``chrome://tracing`` or https://ui.perfetto.dev.  Layout, the
+    same for a simulated and a merged runtime trace:
 
-    * process 0 ("collective stages") — one thread per rank, carrying
-      the nested stage spans (``X`` events) and marks (instants);
-    * process 1 ("message transfers") — one thread per *sending* rank,
-      one slice per message from rendezvous to completion, with
-      ``nbytes``/``tag``/``wait`` in the args.
+    * **one process track per rank** (pid = rank, named with the rank's
+      clock-alignment uncertainty when it has one), with a ``stages``
+      thread carrying the nested collective spans and marks and a
+      ``messages`` thread carrying transfers;
+    * the sender's slice runs from its send post to ``t_complete``, the
+      receiver's from ``min(recv post, t_complete)`` to ``t_complete``;
+    * a **flow arrow** (``ph: "s"`` at the send post, ``ph: "f"`` at
+      ``t_complete``) joins the two across rank tracks for every
+      cross-rank message;
+    * injected faults are global instants.
 
-    ``timescale`` converts simulated seconds to the format's
-    microsecond timestamps; with sub-microsecond simulated times (the
-    UNIT model) raise it so slices stay visible.
+    ``timescale`` converts trace seconds to the format's microsecond
+    timestamps; with sub-microsecond simulated times (the UNIT model)
+    raise it so slices stay visible.
     """
-    events: List[Dict] = [
-        {"ph": "M", "pid": _PID_RANKS, "name": "process_name",
-         "args": {"name": "collective stages"}},
-        {"ph": "M", "pid": _PID_MESSAGES, "name": "process_name",
-         "args": {"name": "message transfers"}},
-    ]
-    seen_ranks = set()
+    completed = tracer.completed()
+    ranks = set(tracer.ranks)
+    ranks.update(s.rank for s in tracer.spans if s.closed)
+    ranks.update(rank for _, rank, _ in tracer.marks)
+    for m in completed:
+        ranks.update((m.src, m.dst))
+    events: List[Dict] = []
+    for rank in sorted(ranks):
+        clock = tracer.clocks.get(rank)
+        unc = (f" (±{clock.uncertainty_s * 1e6:.0f}us)"
+               if clock is not None and clock.probes else "")
+        events.append({"ph": "M", "pid": rank, "name": "process_name",
+                       "args": {"name": f"rank {rank}{unc}"}})
+        events.append({"ph": "M", "pid": rank, "tid": _TID_STAGES,
+                       "name": "thread_name",
+                       "args": {"name": "stages"}})
+        events.append({"ph": "M", "pid": rank, "tid": _TID_MESSAGES,
+                       "name": "thread_name",
+                       "args": {"name": "messages"}})
     for s in tracer.spans:
         if not s.closed:
             continue
-        seen_ranks.add(s.rank)
         ev = {"name": s.label, "cat": s.phase or "span", "ph": "X",
               "ts": s.t_start * timescale,
-              "dur": (s.t_end - s.t_start) * timescale,
-              "pid": _PID_RANKS, "tid": s.rank}
+              "dur": max(s.t_end - s.t_start, 0.0) * timescale,
+              "pid": s.rank, "tid": _TID_STAGES}
         if s.attrs:
             ev["args"] = {k: str(v) for k, v in s.attrs.items()}
         events.append(ev)
     for t, rank, label in tracer.marks:
-        seen_ranks.add(rank)
         events.append({"name": label, "cat": "mark", "ph": "i",
-                       "ts": t * timescale, "pid": _PID_RANKS,
-                       "tid": rank, "s": "t"})
+                       "ts": t * timescale, "pid": rank,
+                       "tid": _TID_STAGES, "s": "t"})
     for fr in tracer.faults:
         # global instants: faults hit the machine, not one rank
         events.append({"name": f"{fr.kind}: {fr.detail}", "cat": "fault",
                        "ph": "i", "ts": fr.t * timescale,
-                       "pid": _PID_RANKS, "tid": 0, "s": "g"})
-    for m in tracer.completed():
+                       "pid": 0, "tid": _TID_STAGES, "s": "g"})
+    flow_id = 0
+    for m in completed:
+        name = f"{m.src}->{m.dst}"
+        args = {"nbytes": m.nbytes, "tag": m.tag}
+        if not math.isnan(m.t_send_post):
+            events.append({
+                "name": name, "cat": "message", "ph": "X",
+                "ts": m.t_send_post * timescale,
+                "dur": max(m.t_complete - m.t_send_post, 0.0) * timescale,
+                "pid": m.src, "tid": _TID_MESSAGES, "args": args})
+        t_wait = (m.t_recv_post if not math.isnan(m.t_recv_post)
+                  else m.t_complete)
+        t_wait = min(t_wait, m.t_complete)
         events.append({
-            "name": f"{m.src}->{m.dst}", "cat": "message", "ph": "X",
-            "ts": m.t_match * timescale,
-            "dur": (m.t_complete - m.t_match) * timescale,
-            "pid": _PID_MESSAGES, "tid": m.src,
-            "args": {"nbytes": m.nbytes, "tag": m.tag,
-                     "dst": m.dst,
-                     "wait": None if math.isnan(m.wait_time)
-                     else m.wait_time * timescale},
-        })
-    for rank in sorted(seen_ranks):
-        events.append({"ph": "M", "pid": _PID_RANKS, "tid": rank,
-                       "name": "thread_name",
-                       "args": {"name": f"rank {rank}"}})
+            "name": f"recv {name}", "cat": "message", "ph": "X",
+            "ts": t_wait * timescale,
+            "dur": (m.t_complete - t_wait) * timescale,
+            "pid": m.dst, "tid": _TID_MESSAGES, "args": args})
+        if not math.isnan(m.t_send_post) and m.src != m.dst:
+            events.append({"name": "msg", "cat": "flow", "ph": "s",
+                           "id": flow_id,
+                           "ts": m.t_send_post * timescale,
+                           "pid": m.src, "tid": _TID_MESSAGES})
+            events.append({"name": "msg", "cat": "flow", "ph": "f",
+                           "bp": "e", "id": flow_id,
+                           "ts": m.t_complete * timescale,
+                           "pid": m.dst, "tid": _TID_MESSAGES})
+            flow_id += 1
     return {"traceEvents": events, "displayTimeUnit": "ms"}
 
 
@@ -308,6 +349,7 @@ def write_chrome_trace(tracer: Tracer, path: str,
                        timescale: float = 1e6) -> str:
     """Write the Chrome-trace JSON for ``tracer`` to ``path``."""
     with open(path, "w") as f:
-        json.dump(chrome_trace(tracer, timescale=timescale), f)
+        json.dump(chrome_trace(tracer, timescale=timescale), f,
+                  sort_keys=True)
         f.write("\n")
     return path

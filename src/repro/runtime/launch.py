@@ -539,7 +539,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     for rank, value in enumerate(result.results):
         print(f"rank {rank}: {value!r}")
     if ns.trace is not None:
-        from ..obs.runtime import write_chrome_trace
+        from ..obs.trace import write_chrome_trace
         write_chrome_trace(result.trace, ns.trace)
         print(f"# merged trace ({result.trace!r}) -> {ns.trace}")
     return 0

@@ -18,8 +18,8 @@ from ..core.params import (DELTA, IPSC860, PARAGON, PRESETS, UNIT,
                            MachineParams, preset)
 from ..core.topology import (FullyConnected, Hypercube, LinearArray, Mesh2D,
                              Ring, Topology, Torus2D, route_length)
-from .trace import (FaultRecord, MessageRecord, SpanRecord, Tracer,
-                    chrome_trace, write_chrome_trace)
+from ..obs.trace import (FaultRecord, MessageRecord, SpanRecord, Tracer,
+                         chrome_trace, write_chrome_trace)
 
 __all__ = [
     "CommHandle", "DeadlockError", "Engine", "RankEnv",

@@ -59,7 +59,7 @@ from .faults import (DeadLetter, FaultDiagnosis, FaultSchedule, FaultState,
 from .network import FluidNetwork
 from ..core.params import MachineParams
 from ..core.topology import Topology
-from .trace import MessageRecord, Tracer
+from ..obs.trace import MessageRecord, Tracer
 
 __all__ = [
     "CommHandle", "DeadlockError", "Engine", "RankEnv",

@@ -25,7 +25,7 @@ from .engine import Engine, RankEnv
 from .faults import FaultReport, FaultSchedule
 from ..core.params import MachineParams, UNIT
 from ..core.topology import Topology
-from .trace import Tracer
+from ..obs.trace import Tracer
 
 
 @dataclass

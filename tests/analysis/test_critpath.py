@@ -10,7 +10,7 @@ from repro.analysis.critpath import (CritSpan, critical_path,
                                      render_critical_path)
 from repro.core import api
 from repro.sim import LinearArray, Machine, UNIT
-from repro.sim.trace import Tracer
+from repro.obs.trace import Tracer
 
 
 def mst_bcast_run(p, n=4):

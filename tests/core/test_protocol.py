@@ -43,6 +43,7 @@ def test_runtime_imports_without_loading_simulator():
     code = (
         "import sys\n"
         "import repro.runtime\n"
+        "import repro.obs.runtime\n"
         "bad = sorted(m for m in sys.modules if m.startswith('repro.sim'))\n"
         "assert not bad, f'simulator modules leaked: {bad}'\n"
         "print('clean')\n"

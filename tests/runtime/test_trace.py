@@ -4,7 +4,8 @@ Covers the wall-clock observability layer of the process backend
 (:mod:`repro.obs.runtime`): the NTP-style offset estimator on synthetic
 skewed clocks, byte-identical re-merges of the same per-rank JSONL,
 the merged p=4 allreduce trace (one aligned track per rank, send->recv
-flow arrows), ``env.mark`` instant events, and the queue-depth /
+flow arrows), ``env.mark`` instant events, the trace model and export
+layout it shares with the simulator, and the queue-depth /
 last-progress enrichment of hang diagnoses.
 """
 
@@ -17,10 +18,11 @@ import pytest
 
 from repro.core import api
 from repro.core.params import MachineParams
-from repro.obs.runtime import (ClockEstimate, chrome_trace,
-                               estimate_clock_offset, merge_rank_traces,
-                               write_chrome_trace)
+from repro.obs.runtime import (ClockEstimate, estimate_clock_offset,
+                               merge_rank_traces)
+from repro.obs.trace import Tracer, chrome_trace, write_chrome_trace
 from repro.runtime import ProcessMachine, RuntimeHangDiagnosis
+from repro.sim import LinearArray, Machine
 
 
 # ----------------------------------------------------------------------
@@ -172,6 +174,26 @@ class TestMergedTrace:
                            out_b)
         with open(out_a, "rb") as fa, open(out_b, "rb") as fb:
             assert fa.read() == fb.read()
+
+    def test_backends_share_trace_model_and_layout(self, traced):
+        res, _ = traced
+        sim = Machine(LinearArray(4), PIPE_PARAMS, trace=True).run(
+            _allreduce_prog)
+        for trace in (res.trace, sim.trace):
+            assert isinstance(trace, Tracer)
+            events = chrome_trace(trace)["traceEvents"]
+            assert {e["pid"] for e in events} == {0, 1, 2, 3}
+            threads = {(e["pid"], e["args"]["name"]) for e in events
+                       if e["ph"] == "M" and e["name"] == "thread_name"}
+            assert threads == {(r, name) for r in range(4)
+                               for name in ("stages", "messages")}
+            cross = [m for m in trace.completed() if m.src != m.dst]
+            assert cross
+            assert (len([e for e in events if e["ph"] == "s"])
+                    == len([e for e in events if e["ph"] == "f"])
+                    == len(cross))
+        assert (sorted(s.label for s in res.trace.op_spans())
+                == sorted(s.label for s in sim.trace.op_spans()))
 
     def test_audit_pairs_prediction_with_wall_window(self, traced):
         res, _ = traced

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from repro.sim import LinearArray, Machine, UNIT
-from repro.sim.trace import MessageRecord, Tracer
+from repro.obs.trace import (MessageRecord, Tracer, chrome_trace,
+                             write_chrome_trace)
 
 
 def traced_run(prog, p=4):
@@ -240,23 +241,47 @@ class TestChromeExport:
         return traced_run(prog, p=4)
 
     def test_structure(self):
-        from repro.sim.trace import chrome_trace
-        doc = chrome_trace(self._run().trace)
-        evs = doc["traceEvents"]
-        phases = {e["ph"] for e in evs}
-        assert {"M", "X", "i"} <= phases
-        # spans on pid 0, messages on pid 1
-        span_evs = [e for e in evs if e["ph"] == "X" and e["pid"] == 0]
-        msg_evs = [e for e in evs if e["ph"] == "X" and e["pid"] == 1]
-        assert span_evs and msg_evs
-        assert all(e["dur"] >= 0 for e in span_evs)
-        assert all("nbytes" in e["args"] for e in msg_evs)
-        names = {e["args"]["name"] for e in evs
+        run = self._run()
+        evs = chrome_trace(run.trace)["traceEvents"]
+        assert {"M", "X", "i", "s", "f"} <= {e["ph"] for e in evs}
+        # one process track per rank, each with a stages and a
+        # messages thread
+        procs = {e["pid"]: e["args"]["name"] for e in evs
                  if e["ph"] == "M" and e["name"] == "process_name"}
-        assert names == {"collective stages", "message transfers"}
+        assert procs == {r: f"rank {r}" for r in range(4)}
+        threads = {(e["pid"], e["tid"]): e["args"]["name"] for e in evs
+                   if e["ph"] == "M" and e["name"] == "thread_name"}
+        assert threads == {(r, t): name for r in range(4)
+                           for t, name in ((0, "stages"), (1, "messages"))}
+        span_evs = [e for e in evs if e["ph"] == "X" and e["tid"] == 0]
+        msg_evs = [e for e in evs if e["ph"] == "X" and e["tid"] == 1]
+        assert span_evs and all(e["dur"] >= 0 for e in span_evs)
+        assert all("nbytes" in e["args"] for e in msg_evs)
+        # every message: a sender slice from its send post and a
+        # receiver slice, both ending at completion
+        done = run.trace.completed()
+        assert len(msg_evs) == 2 * len(done)
+        for m in done:
+            end = m.t_complete * 1e6
+            send = next(e for e in msg_evs if e["pid"] == m.src
+                        and e["name"] == f"{m.src}->{m.dst}"
+                        and e["ts"] == m.t_send_post * 1e6)
+            assert send["ts"] + send["dur"] == pytest.approx(end)
+            recv = next(e for e in msg_evs if e["pid"] == m.dst
+                        and e["name"] == f"recv {m.src}->{m.dst}"
+                        and e["ts"] + e["dur"] == pytest.approx(end))
+            assert recv["ts"] == pytest.approx(
+                min(m.t_recv_post, m.t_complete) * 1e6)
+        # one flow arrow per cross-rank message, send post -> completion
+        starts = {e["id"]: e for e in evs if e["ph"] == "s"}
+        finishes = {e["id"]: e for e in evs if e["ph"] == "f"}
+        assert len(starts) == len(finishes) == len(
+            [m for m in done if m.src != m.dst])
+        for fid, fin in finishes.items():
+            assert fin["ts"] >= starts[fid]["ts"]
+            assert fin["pid"] != starts[fid]["pid"]
 
     def test_timescale_scales_timestamps(self):
-        from repro.sim.trace import chrome_trace
         tr = self._run().trace
         a = chrome_trace(tr, timescale=1.0)
         b = chrome_trace(tr, timescale=1000.0)
@@ -266,14 +291,12 @@ class TestChromeExport:
 
     def test_write_round_trips_as_json(self, tmp_path):
         import json
-        from repro.sim.trace import write_chrome_trace
         path = tmp_path / "out.trace.json"
         write_chrome_trace(self._run().trace, str(path))
         doc = json.loads(path.read_text())
         assert doc["traceEvents"]
 
     def test_attrs_stringified(self):
-        from repro.sim.trace import chrome_trace
         tr = Tracer()
         sp = tr.span_open(0.0, 0, "op", phase="op",
                           attrs={"strategy": (2, 2), "n": 64})
