@@ -178,7 +178,7 @@ def resolve_strategy(ctx: CollContext, operation: str,
         mesh_shape = group_mesh_shape(ctx.group,
                                       getattr(ctx.env, "topology", None))
         choice = sel.best(operation, p, n, mesh_shape=mesh_shape)
-        if ctx._tracer() is not None:
+        if ctx.tracer is not None:
             _capture_prediction(ctx, sel, operation, p, n, itemsize,
                                 mesh_shape, choice)
             if beta_mult > 1.0:

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from typing import Any, Optional, Sequence, Tuple
 
-from .protocol import CommHandle, _WaitGroup, payload_nbytes
+from .protocol import CommHandle, _WaitGroup
 
 
 class CollContext:
@@ -26,10 +26,10 @@ class CollContext:
     Backend-neutral: ``env`` may be the simulator's
     :class:`~repro.sim.engine.RankEnv` or any object satisfying the
     protocol contract of :mod:`repro.core.protocol` (e.g. the process
-    runtime's :class:`~repro.runtime.env.ProcessEnv`).  When the env
-    exposes a simulator ``engine``, the hot send/recv path posts
-    straight into it; otherwise the context goes through the env's
-    public ``isend``/``irecv`` surface.
+    runtime's :class:`~repro.runtime.env.ProcessEnv`).  Every post,
+    span and clock read goes through that surface (``isend``,
+    ``irecv``, ``tracer``, ``now``) on both backends; only the
+    simulator control :attr:`max_events` looks up ``env.engine``.
 
     Parameters
     ----------
@@ -45,8 +45,7 @@ class CollContext:
         (source, tag) pair).
     """
 
-    __slots__ = ("env", "group", "tag", "rank", "_phys2log", "_eng",
-                 "_op_attrs")
+    __slots__ = ("env", "group", "tag", "rank", "_phys2log", "_op_attrs")
 
     def __init__(self, env, group: Optional[Sequence[int]] = None,
                  tag: int = 0):
@@ -61,8 +60,6 @@ class CollContext:
         self.tag = tag
         self._phys2log = {p: l for l, p in enumerate(self.group)}
         self.rank: Optional[int] = self._phys2log.get(env.rank)
-        #: simulator engine when the env has one, else None (real backend)
-        self._eng = getattr(env, "engine", None)
         self._op_attrs: Optional[dict] = None
 
     # ------------------------------------------------------------------
@@ -110,22 +107,22 @@ class CollContext:
         setting this on a non-simulated env raises a clear error (use
         the launcher's wall-clock watchdog instead, docs/runtime.md).
         """
-        self._require_engine("max_events")
-        return self._eng.max_events
+        return self._engine().max_events
 
     @max_events.setter
     def max_events(self, value: int) -> None:
         if value < 1:
             raise ValueError("max_events must be positive")
-        self._require_engine("max_events")
-        self._eng.max_events = value
+        self._engine().max_events = value
 
-    def _require_engine(self, what: str) -> None:
-        if self._eng is None:
+    def _engine(self):
+        eng = getattr(self.env, "engine", None)
+        if eng is None:
             raise RuntimeError(
-                f"{what} is a simulator control, but this context's env "
+                "max_events is a simulator control, but this context's env "
                 f"({type(self.env).__name__}) has no engine; on the real "
                 "backend use the launcher watchdog (docs/runtime.md)")
+        return eng
 
     # ------------------------------------------------------------------
     # communication in logical coordinates
@@ -133,25 +130,10 @@ class CollContext:
 
     def isend(self, ldst: int, data: Any,
               nbytes: Optional[float] = None) -> CommHandle:
-        # On the simulator this calls straight into the engine (skipping
-        # the RankEnv wrapper): group code posts one send+recv pair per
-        # ring/tree step, so this is the single hottest call of every
-        # long-vector collective.  Other backends go through the env's
-        # public surface.
-        if nbytes is None:
-            nbytes = payload_nbytes(data)
-        eng = self._eng
-        if eng is not None:
-            return eng._post_send(self.env.rank, self.group[ldst],
-                                  self.tag, data, nbytes)
         return self.env.isend(self.group[ldst], data, tag=self.tag,
                               nbytes=nbytes)
 
     def irecv(self, lsrc: int) -> CommHandle:
-        eng = self._eng
-        if eng is not None:
-            return eng._post_recv(self.env.rank, self.group[lsrc],
-                                  self.tag)
         return self.env.irecv(self.group[lsrc], tag=self.tag)
 
     def send(self, ldst: int, data: Any, nbytes: Optional[float] = None):
@@ -179,6 +161,11 @@ class CollContext:
     # observability spans (docs/observability.md)
     # ------------------------------------------------------------------
 
+    @property
+    def tracer(self):
+        """The env's trace collector, or None (tracing off / no tracer)."""
+        return getattr(self.env, "tracer", None)
+
     def span_open(self, label: str, phase: str = "", **attrs):
         """Open a stage span on this rank's tracer.
 
@@ -192,7 +179,7 @@ class CollContext:
         ``algorithm="auto"`` dispatch attaches its prediction record to
         the whole-collective span the hybrid opens a moment later.
         """
-        tracer = self._tracer()
+        tracer = self.tracer
         if tracer is None:
             return None
         if phase == "op" and self._op_attrs is not None:
@@ -200,20 +187,8 @@ class CollContext:
             merged.update(attrs)
             attrs = merged
             self._op_attrs = None
-        return tracer.span_open(self._now(), self.env.rank, label,
+        return tracer.span_open(self.env.now, self.env.rank, label,
                                 phase=phase, attrs=attrs or None)
-
-    def _tracer(self):
-        """The env's trace collector, or None (tracing off / backend
-        without one)."""
-        eng = self._eng
-        if eng is not None:
-            return eng.tracer
-        return getattr(self.env, "tracer", None)
-
-    def _now(self) -> float:
-        eng = self._eng
-        return eng.now if eng is not None else self.env.now
 
     def annotate_next_op(self, **attrs) -> None:
         """Stash attributes for the next ``"op"``-phase span on this
@@ -225,7 +200,7 @@ class CollContext:
         :meth:`span_open` merges it in.  Purely observational: never
         touches simulated state.
         """
-        if self._tracer() is None:
+        if self.tracer is None:
             return
         if self._op_attrs is None:
             self._op_attrs = {}
@@ -234,7 +209,7 @@ class CollContext:
     def span_close(self, span) -> None:
         """Close a span opened with :meth:`span_open` (None is a no-op)."""
         if span is not None:
-            self._tracer().span_close(span, self._now())
+            self.tracer.span_close(span, self.env.now)
 
     # ------------------------------------------------------------------
     # subgroups (hybrid stages, mesh rows/columns)

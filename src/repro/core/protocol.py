@@ -7,15 +7,17 @@ that interacts with *some* machine — simulated or real — exclusively by
 
 * the **request types** a program may yield (:class:`_Delay`,
   :class:`_WaitGroup`, and bare :class:`CommHandle` as post+wait
-  shorthand), and
-* the **env surface** a backend must provide to drive those programs
-  (see :class:`RankEnvLike` below).
+  shorthand),
+* the **matching rule** both backends share, as one implementation:
+  :class:`MatchQueue`, and
+* the **env surface** a backend must provide to drive those programs.
+  :class:`RankEnvBase` builds the part both backends share (``send``,
+  ``recv``, ``waitall``, ``delay``, ``mark``) on each env's own
+  primitives.
 
-Historically these types lived in :mod:`repro.sim.engine`; they were
-extracted here so that ``repro.core`` (algorithms, contexts,
-communicators) depends only on the protocol, never on the simulator —
-:mod:`repro.sim.engine` re-exports them for backward compatibility, and
-:mod:`repro.runtime` implements the same protocol over real OS
+``repro.core`` depends only on this protocol, never on the simulator;
+:mod:`repro.sim.engine` re-exports its types for backward
+compatibility, and :mod:`repro.runtime` implements it over real OS
 processes (see ``docs/runtime.md``).
 
 The env contract
@@ -27,12 +29,18 @@ A backend's env object must provide, at minimum:
 ``isend(dst, data, tag=0, nbytes=None)`` / ``irecv(src, tag=0)``
     post a nonblocking send/receive, returning a :class:`CommHandle`;
 ``send`` / ``recv`` / ``waitall``
-    blocking variants returning yieldable requests;
+    blocking variants returning yieldable requests (inherited from
+    :class:`RankEnvBase`);
 ``delay`` / ``compute`` / ``overhead`` / ``mark``
     cost/annotation requests (a real backend is free to treat them as
     zero-cost: real time passes by itself);
 ``now``
-    elapsed seconds (simulated or wall-clock).
+    elapsed seconds (simulated or wall-clock);
+``tracer``
+    the rank's trace collector, or ``None`` when untraced;
+``alive(node)``
+    False once ``node`` is known to have failed.  A backend without a
+    failure detector reports every node alive.
 
 Optionally it may expose:
 
@@ -48,18 +56,21 @@ Optionally it may expose:
     or ``None`` means groups are treated as linear arrays (section 9's
     "when a group is unstructured ... it is treated as though it were a
     linear array");
-``engine`` / ``tracer``
-    simulator internals (event loop, trace collector).  Only the
-    simulated backend has them; core code must tolerate their absence.
+``engine``
+    the simulator's event loop.  Only the simulated backend has it;
+    core code looks it up only for simulator controls and must
+    tolerate its absence.
 
 Message matching is by ``(source, tag)`` with FIFO order per pair on
 every backend — that rule, not the transport, is what makes SPMD
-programs deterministic.
+programs deterministic.  Both backends match through
+:class:`MatchQueue`.
 """
 
 from __future__ import annotations
 
-from typing import Any, List, Optional
+from collections import deque
+from typing import Any, Deque, Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -192,3 +203,127 @@ class _WaitGroup(_Request):
             h = self.handles[0]
             return h.data if h.kind == "recv" else None
         return [h.data if h.kind == "recv" else None for h in self.handles]
+
+
+# ----------------------------------------------------------------------
+# Matching
+# ----------------------------------------------------------------------
+
+#: what :meth:`MatchQueue.post` / :meth:`MatchQueue.arrive` return when
+#: nothing was waiting — not ``None``, which is a valid payload (a
+#: zero-byte synchronization message)
+NO_MATCH = object()
+
+
+def _pop_oldest(queues: Dict[Tuple[int, int], Deque], key) -> Any:
+    q = queues.get(key)
+    if q is None:
+        return NO_MATCH
+    item = q.popleft()
+    if not q:
+        del queues[key]
+    return item
+
+
+class MatchQueue:
+    """One receiving rank's ``(source, tag)`` matching state.
+
+    Posted receives and unmatched arrivals wait in FIFOs per
+    ``(src, tag)``; a receive takes the oldest arrival with its key and
+    an arrival the oldest receive.  The caller decides what an arrival
+    is: the simulator queues rendezvous send handles, the process
+    runtime eager payloads.  :attr:`posted` and :attr:`unexpected`
+    count the waiting entries, so queue-depth snapshots are O(1).
+    """
+
+    __slots__ = ("_recvs", "_arrivals", "posted", "unexpected")
+
+    def __init__(self) -> None:
+        self._recvs: Dict[Tuple[int, int], Deque] = {}
+        self._arrivals: Dict[Tuple[int, int], Deque] = {}
+        self.posted = self.unexpected = 0
+
+    def post(self, src: int, tag: int, recv: Any) -> Any:
+        """Post a receive: returns the oldest unmatched arrival from
+        ``(src, tag)``, or queues ``recv`` and returns :data:`NO_MATCH`."""
+        item = _pop_oldest(self._arrivals, (src, tag))
+        if item is NO_MATCH:
+            self._recvs.setdefault((src, tag), deque()).append(recv)
+            self.posted += 1
+        else:
+            self.unexpected -= 1
+        return item
+
+    def arrive(self, src: int, tag: int, item: Any) -> Any:
+        """Deliver an arrival: returns the oldest posted receive for
+        ``(src, tag)``, or queues ``item`` and returns :data:`NO_MATCH`."""
+        recv = _pop_oldest(self._recvs, (src, tag))
+        if recv is NO_MATCH:
+            self._arrivals.setdefault((src, tag), deque()).append(item)
+            self.unexpected += 1
+        else:
+            self.posted -= 1
+        return recv
+
+    def posted_items(self) -> Iterator[Tuple[int, int, Any]]:
+        """Every waiting receive as ``(src, tag, recv)``, FIFO per key."""
+        for (src, tag), q in self._recvs.items():
+            for recv in q:
+                yield src, tag, recv
+
+    def unexpected_items(self) -> Iterator[Tuple[int, int, Any]]:
+        """Every unmatched arrival as ``(src, tag, item)``, FIFO per key."""
+        for (src, tag), q in self._arrivals.items():
+            for item in q:
+                yield src, tag, item
+
+
+# ----------------------------------------------------------------------
+# The shared env surface
+# ----------------------------------------------------------------------
+
+class RankEnvBase:
+    """The part of the env surface both backends build the same way.
+
+    Subclasses provide ``rank``, ``nranks``, ``isend``, ``irecv``,
+    ``now`` and ``tracer``; everything here is derived from them.
+    Slot-less, so a subclass keeps whatever ``__slots__`` it declares.
+    """
+
+    __slots__ = ()
+
+    def _check_peer(self, peer: int) -> None:
+        if not 0 <= peer < self.nranks:
+            raise ValueError(f"node {peer} out of range [0, {self.nranks})")
+
+    def waitall(self, *handles) -> _WaitGroup:
+        """Block until every handle (or iterable of handles) completes;
+        resumes with the payload of a single recv, else a list of
+        payloads/None in handle order."""
+        flat: List[CommHandle] = []
+        for h in handles:
+            if isinstance(h, CommHandle):
+                flat.append(h)
+            else:
+                flat.extend(h)
+        return _WaitGroup(flat)
+
+    def send(self, dst: int, data: Any, tag: int = 0,
+             nbytes: Optional[float] = None) -> _WaitGroup:
+        """Blocking send (post + wait)."""
+        return _WaitGroup([self.isend(dst, data, tag=tag, nbytes=nbytes)])
+
+    def recv(self, src: int, tag: int = 0) -> _WaitGroup:
+        """Blocking receive; yields the payload."""
+        return _WaitGroup([self.irecv(src, tag=tag)])
+
+    def delay(self, duration: float) -> _Delay:
+        """Pause for ``duration`` seconds (simulated charge / real sleep)."""
+        return _Delay(duration)
+
+    def mark(self, label: str) -> _Delay:
+        """Drop a zero-cost annotation into the trace."""
+        tracer = self.tracer
+        if tracer is not None:
+            tracer.mark(self.now, self.rank, label)
+        return _Delay(0.0)

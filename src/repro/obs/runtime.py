@@ -205,9 +205,6 @@ class RuntimeTracer:
         self._send_seq: Dict[Tuple[int, int], int] = {}
         self._match_seq: Dict[Tuple[int, int], int] = {}
         self._depth = 0
-        #: wall time (env clock) of the last match/drain on this rank —
-        #: "how far did this rank get" for hang diagnoses
-        self.last_progress_s: Optional[float] = None
 
     # --- span protocol (CollContext-compatible) -----------------------
 
@@ -248,11 +245,9 @@ class RuntimeTracer:
         seq = self._match_seq.get(key, 0)
         self._match_seq[key] = seq + 1
         self.events.append(("match", t, src, tag, seq))
-        self.last_progress_s = t
 
     def drain(self, t: float, src: int, tag: int) -> None:
         self.events.append(("drain", t, src, tag))
-        self.last_progress_s = t
 
     # --- serialisation ------------------------------------------------
 

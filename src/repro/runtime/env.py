@@ -6,9 +6,9 @@
 program in the library runs unchanged over OS processes.  The semantic
 anchor is the **matching rule**: receives match sends with the same
 ``(source, tag)`` in FIFO order per pair, exactly as in the simulator.
-The transport guarantees per-pair FIFO delivery; this module implements
-matching on top of it with the standard posted-receive /
-unexpected-message queue pair.
+The transport guarantees per-pair FIFO delivery; the env matches on top
+of it through the same :class:`~repro.core.protocol.MatchQueue` the
+simulator uses, whose arrivals here are eager payloads.
 
 Differences from the simulated env, by design:
 
@@ -27,11 +27,10 @@ Differences from the simulated env, by design:
 from __future__ import annotations
 
 import time
-from collections import deque
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, Optional
 
-from ..core.protocol import (CommHandle, _Delay, _WaitGroup,
-                             payload_nbytes)
+from ..core.protocol import (NO_MATCH, CommHandle, MatchQueue, RankEnvBase,
+                             _Delay, _WaitGroup, payload_nbytes)
 from .transport import RankTransport
 
 
@@ -58,7 +57,15 @@ class RankDeadlineError(RuntimeError):
             f"{detail}")
 
 
-class ProcessEnv:
+def describe_queues(snapshot: Dict[str, object]) -> str:
+    """One line for a :meth:`ProcessEnv.queue_snapshot`."""
+    last = snapshot.get("last_progress_s")
+    return (f"posted={snapshot.get('posted')} "
+            f"unexpected={snapshot.get('unexpected')} last_progress="
+            + ("never" if last is None else f"{last:.3f}s"))
+
+
+class ProcessEnv(RankEnvBase):
     """The env a rank program sees when running over real processes.
 
     Parameters
@@ -96,28 +103,20 @@ class ProcessEnv:
                  deadline: Optional[float] = None,
                  poll: float = 0.05, tracer=None, faults=None):
         self.rank = rank
-        self._nranks = nranks
+        self.nranks = nranks
         self._transport = transport
         self.params = params
         self.topology = topology
-        #: wall-clock trace collector
-        #: (:class:`repro.obs.runtime.RuntimeTracer`), or None.
-        #: ``CollContext`` finds it here, so collective stage spans and
-        #: auto-dispatch prediction capture work on this backend too.
-        #: The launcher attaches it *after* the clock-sync exchange so
-        #: alignment probes don't clutter the trace.
+        #: wall-clock :class:`repro.obs.runtime.RuntimeTracer`, or None;
+        #: the launcher attaches it *after* the clock-sync exchange so
+        #: alignment probes don't clutter the trace
         self.tracer = tracer
         self._status = status
         self._deadline = deadline
         self._poll = poll
         self._t0 = time.monotonic()
-        # (source, tag) -> FIFO of posted-but-unmatched recv handles
-        self._posted: Dict[Tuple[int, int], deque] = {}
-        # (source, tag) -> FIFO of arrived-but-unmatched payloads
-        self._unexpected: Dict[Tuple[int, int], deque] = {}
-        # running totals so queue-depth snapshots are O(1)
-        self._n_posted = 0
-        self._n_unexpected = 0
+        #: posted recv handles and arrived-but-unmatched payloads
+        self._queue = MatchQueue()
         #: wall time of the last matched or drained frame (None until
         #: the first one) — feeds hang diagnoses and the trace
         self.last_progress_s: Optional[float] = None
@@ -131,20 +130,18 @@ class ProcessEnv:
             self._adversary = AdversaryState(faults)
 
     # ------------------------------------------------------------------
-    # identity / clock
+    # clock
     # ------------------------------------------------------------------
-
-    @property
-    def nranks(self) -> int:
-        return self._nranks
 
     @property
     def now(self) -> float:
         """Wall-clock seconds since this rank's env was created."""
         return time.monotonic() - self._t0
 
-    @property
-    def alive(self) -> bool:
+    def alive(self, node: int) -> bool:
+        """Always True: this backend has no failure detector.  A killed
+        rank surfaces as :class:`~repro.runtime.launch.RankError` or
+        :class:`~repro.runtime.launch.RuntimeHangDiagnosis` instead."""
         return True
 
     # ------------------------------------------------------------------
@@ -166,7 +163,7 @@ class ProcessEnv:
             nbytes = payload_nbytes(data)
         if self._adversary is not None:
             acted = self._adversary.act(self.rank, dst, tag, data,
-                                        self.now, self._nranks)
+                                        self.now, self.nranks)
             if acted is not None:
                 tamper, dst, data = acted
                 if tamper.kind == "withholding-rank":
@@ -178,9 +175,10 @@ class ProcessEnv:
                     return h
         h = CommHandle("send", dst, tag, data, nbytes, self.now)
         if self.tracer is not None:
+            q = self._queue
             self.tracer.send_post(self.now, dst, tag, nbytes,
                                   self._transport.outbox_depth(),
-                                  self._n_posted, self._n_unexpected)
+                                  q.posted, q.unexpected)
         self._transport.send(dst, tag, data, nbytes)
         h.done = True  # eager: buffered by the transport writer
         return h
@@ -188,44 +186,18 @@ class ProcessEnv:
     def irecv(self, src: int, tag: int = 0) -> CommHandle:
         self._check_peer(src)
         h = CommHandle("recv", src, tag, None, 0.0, self.now)
-        key = (src, tag)
+        q = self._queue
         if self.tracer is not None:
             self.tracer.recv_post(self.now, src, tag,
-                                  self._n_posted, self._n_unexpected)
-        q = self._unexpected.get(key)
-        if q:
-            h.data = q.popleft()
+                                  q.posted, q.unexpected)
+        data = q.post(src, tag, h)
+        if data is not NO_MATCH:
+            h.data = data
             h.done = True
-            if not q:
-                del self._unexpected[key]
-            self._n_unexpected -= 1
             self.last_progress_s = self.now
             if self.tracer is not None:
                 self.tracer.match(self.now, src, tag)
-        else:
-            self._posted.setdefault(key, deque()).append(h)
-            self._n_posted += 1
         return h
-
-    def send(self, dst: int, data: Any, tag: int = 0,
-             nbytes: Optional[float] = None) -> _WaitGroup:
-        return _WaitGroup([self.isend(dst, data, tag=tag, nbytes=nbytes)])
-
-    def recv(self, src: int, tag: int = 0) -> _WaitGroup:
-        return _WaitGroup([self.irecv(src, tag=tag)])
-
-    def waitall(self, *handles) -> _WaitGroup:
-        flat = []
-        for h in handles:
-            if isinstance(h, CommHandle):
-                flat.append(h)
-            else:
-                flat.extend(h)
-        return _WaitGroup(flat)
-
-    def delay(self, duration: float) -> _Delay:
-        """An explicit pause — honoured as real wall-clock sleep."""
-        return _Delay(duration)
 
     def compute(self, nelems: float) -> _Delay:
         """Model-cost annotation: free here (the arithmetic itself runs
@@ -234,16 +206,6 @@ class ProcessEnv:
 
     def overhead(self, count: float = 1.0) -> _Delay:
         return _Delay(0.0)
-
-    def mark(self, label: str) -> _Delay:
-        if self.tracer is not None:
-            self.tracer.mark(self.now, self.rank, label)
-        return _Delay(0.0)
-
-    def _check_peer(self, peer: int) -> None:
-        if not 0 <= peer < self._nranks:
-            raise ValueError(
-                f"peer {peer} out of range for nranks={self._nranks}")
 
     # ------------------------------------------------------------------
     # the progress engine
@@ -281,31 +243,21 @@ class ProcessEnv:
         if msg is None:
             return
         src, tag, payload = msg
-        key = (src, tag)
         self.last_progress_s = self.now
-        q = self._posted.get(key)
-        if q:
-            h = q.popleft()
+        h = self._queue.arrive(src, tag, payload)
+        if h is not NO_MATCH:
             h.data = payload
             h.done = True
-            if not q:
-                del self._posted[key]
-            self._n_posted -= 1
             if self.tracer is not None:
                 self.tracer.match(self.now, src, tag)
-        else:
-            self._unexpected.setdefault(key, deque()).append(payload)
-            self._n_unexpected += 1
-            if self.tracer is not None:
-                self.tracer.drain(self.now, src, tag)
+        elif self.tracer is not None:
+            self.tracer.drain(self.now, src, tag)
 
     def queue_snapshot(self) -> Dict[str, object]:
         """Progress snapshot: queue depths + last matched/drained time."""
-        return {
-            "posted": self._n_posted,
-            "unexpected": self._n_unexpected,
-            "last_progress_s": self.last_progress_s,
-        }
+        return {"posted": self._queue.posted,
+                "unexpected": self._queue.unexpected,
+                "last_progress_s": self.last_progress_s}
 
     def _describe(self, blocked) -> str:
         parts = []
@@ -314,11 +266,8 @@ class ProcessEnv:
                          f"posted_at={h.posted_at:.3f}s)")
         if len(blocked) > 4:
             parts.append(f"... +{len(blocked) - 4} more")
-        last = ("never" if self.last_progress_s is None
-                else f"{self.last_progress_s:.3f}s")
         return (f"blocked on {len(blocked)} pending: " + ", ".join(parts)
-                + f"; queues posted={self._n_posted} "
-                f"unexpected={self._n_unexpected} last_progress={last}")
+                + "; queues " + describe_queues(self.queue_snapshot()))
 
     def _set_status(self, text: str) -> None:
         if self._status is not None:

@@ -40,7 +40,7 @@ from dataclasses import dataclass, field
 from multiprocessing.connection import wait as _conn_wait
 from typing import Any, Dict, List, Optional, Sequence
 
-from .env import ProcessEnv, RankDeadlineError, drive
+from .env import ProcessEnv, RankDeadlineError, describe_queues, drive
 from .transport import LocalMesh, TcpMesh
 
 _STATUS_BYTES = 240
@@ -97,11 +97,7 @@ class RuntimeHangDiagnosis(RuntimeError):
             lines.append(f"  rank {rank}{tag}: {self.blocked[rank]}")
             q = self.queues.get(rank)
             if q:
-                last = q.get("last_progress_s")
-                lines.append(
-                    f"    progress: posted={q.get('posted')} "
-                    f"unexpected={q.get('unexpected')} last_progress="
-                    + ("never" if last is None else f"{last:.3f}s"))
+                lines.append("    progress: " + describe_queues(q))
         super().__init__("\n".join(lines))
 
     def to_dict(self) -> dict:

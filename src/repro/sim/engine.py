@@ -26,7 +26,8 @@ Blocking semantics follow the paper's model (section 2):
   concurrent sends from one node share its injection bandwidth.
 
 Message matching is by ``(source, tag)`` with FIFO order per pair, which
-is deterministic for deterministic programs.
+is deterministic for deterministic programs: one
+:class:`~repro.core.protocol.MatchQueue` per receiving rank.
 
 Performance notes (see ``docs/performance.md``)
 -----------------------------------------------
@@ -47,13 +48,12 @@ import heapq
 import itertools
 import math
 from heapq import heappop, heappush
-from typing import Any, Callable, Dict, Deque, Generator, List, Optional, Tuple
-from collections import defaultdict, deque
+from typing import Any, Callable, Dict, Generator, List, Optional, Tuple
 
 import numpy as np
 
-from ..core.protocol import (CommHandle, _Delay, _Request, _WaitGroup,
-                             payload_nbytes)
+from ..core.protocol import (NO_MATCH, CommHandle, MatchQueue, RankEnvBase,
+                             _Delay, _WaitGroup, payload_nbytes)
 from .faults import (DeadLetter, FaultDiagnosis, FaultSchedule, FaultState,
                      LinkFault, LinkSlowdown, NodeCrash)
 from .network import FluidNetwork
@@ -98,38 +98,32 @@ class _Process:
         self.crashed = False      # fail-stop: generator never resumes
 
 
-class RankEnv:
+class RankEnv(RankEnvBase):
     """Per-rank view of the machine, passed to every program.
 
-    All communication methods below *construct requests*; blocking ones
-    must be ``yield``-ed, nonblocking ones (``isend``/``irecv``) take
-    effect immediately and return a :class:`CommHandle` to be completed
-    through :meth:`waitall`.
+    ``isend``/``irecv`` post immediately and return a :class:`CommHandle`;
+    every other method builds a request to ``yield`` (the blocking ones
+    come from :class:`~repro.core.protocol.RankEnvBase`).
     """
 
-    __slots__ = ("engine", "rank")
+    __slots__ = ("engine", "rank", "nranks", "params", "topology")
 
     def __init__(self, engine: "Engine", rank: int):
         self.engine = engine
         self.rank = rank
+        self.nranks: int = engine.topology.nnodes
+        self.params: MachineParams = engine.params
+        self.topology: Topology = engine.topology
 
     # --- introspection -------------------------------------------------
 
     @property
-    def nranks(self) -> int:
-        return self.engine.topology.nnodes
-
-    @property
-    def params(self) -> MachineParams:
-        return self.engine.params
-
-    @property
-    def topology(self) -> Topology:
-        return self.engine.topology
-
-    @property
     def now(self) -> float:
         return self.engine.now
+
+    @property
+    def tracer(self) -> Optional[Tracer]:
+        return self.engine.tracer
 
     def alive(self, node: int) -> bool:
         """False once ``node`` has crashed (perfect failure detector)."""
@@ -141,42 +135,17 @@ class RankEnv:
     def isend(self, dst: int, data: Any, tag: int = 0,
               nbytes: Optional[float] = None) -> CommHandle:
         """Post a send; returns immediately with a completion handle."""
+        self._check_peer(dst)
         if nbytes is None:
             nbytes = payload_nbytes(data)
         return self.engine._post_send(self.rank, dst, tag, data, nbytes)
 
     def irecv(self, src: int, tag: int = 0) -> CommHandle:
         """Post a receive; returns immediately with a completion handle."""
+        self._check_peer(src)
         return self.engine._post_recv(self.rank, src, tag)
 
-    # --- blocking (yield these) ------------------------------------------
-
-    def waitall(self, *handles: CommHandle) -> _WaitGroup:
-        """Block until every handle completes.
-
-        When yielded, resumes with the received payload (single recv
-        handle) or a list of payloads/None in handle order.
-        """
-        flat: List[CommHandle] = []
-        for h in handles:
-            if isinstance(h, CommHandle):
-                flat.append(h)
-            else:
-                flat.extend(h)
-        return _WaitGroup(flat)
-
-    def send(self, dst: int, data: Any, tag: int = 0,
-             nbytes: Optional[float] = None) -> _WaitGroup:
-        """Blocking send (post + wait)."""
-        return self.waitall(self.isend(dst, data, tag=tag, nbytes=nbytes))
-
-    def recv(self, src: int, tag: int = 0) -> _WaitGroup:
-        """Blocking receive; yields the payload."""
-        return self.waitall(self.irecv(src, tag))
-
-    def delay(self, duration: float) -> _Delay:
-        """Advance this rank's clock by ``duration`` seconds."""
-        return _Delay(duration)
+    # --- model costs (yield these) ---------------------------------------
 
     def compute(self, nelems: float) -> _Delay:
         """Charge ``nelems`` combine operations (``n * gamma``)."""
@@ -185,12 +154,6 @@ class RankEnv:
     def overhead(self, count: float = 1.0) -> _Delay:
         """Charge library software overhead (``count * sw_overhead``)."""
         return _Delay(count * self.engine.params.sw_overhead)
-
-    def mark(self, label: str) -> _Delay:
-        """Drop a zero-cost annotation into the trace."""
-        if self.engine.tracer is not None:
-            self.engine.tracer.mark(self.engine.now, self.rank, label)
-        return _Delay(0.0)
 
 
 # ----------------------------------------------------------------------
@@ -244,11 +207,9 @@ class Engine:
             metrics=metrics, faults=self._faults)
         if self._faults is not None:
             self._install_faults(self._faults.schedule)
-        # (dst, src, tag) -> deque of unmatched sends / recvs
-        self._pending_sends: Dict[Tuple[int, int, int], Deque] = \
-            defaultdict(deque)
-        self._pending_recvs: Dict[Tuple[int, int, int], Deque] = \
-            defaultdict(deque)
+        #: per receiving rank: posted recv handles and unmatched send
+        #: handles, matched by (src, tag)
+        self._queues = [MatchQueue() for _ in range(self._nnodes)]
         self.messages_sent = 0
         self.events_processed = 0
 
@@ -443,8 +404,6 @@ class Engine:
 
     def _post_send(self, src: int, dst: int, tag: int, data: Any,
                    nbytes: float) -> CommHandle:
-        if not 0 <= dst < self._nnodes:
-            self.topology.check_node(dst)  # raises with the full message
         fs = self._faults
         if fs is not None and fs.adversary is not None:
             acted = fs.adversary.act(src, dst, tag, data, self.now,
@@ -467,32 +426,20 @@ class Engine:
                                 t_send_post=self.now)
             h.record = rec
             self.tracer.message(rec)
-        key = (dst, src, tag)
-        recvq = self._pending_recvs.get(key)
-        if recvq:
-            # Drained queues are left in place (empty) — ring patterns
-            # reuse the same (dst, src, tag) key every step.
-            rh = recvq.popleft()
+        rh = self._queues[dst].arrive(src, tag, h)
+        if rh is not NO_MATCH:
             if rec is not None:
                 rec.t_recv_post = rh.posted_at
             self._match(src, dst, tag, h, rh)
-        else:
-            self._pending_sends[key].append(h)
         return h
 
     def _post_recv(self, dst: int, src: int, tag: int) -> CommHandle:
-        if not 0 <= src < self._nnodes:
-            self.topology.check_node(src)  # raises with the full message
         h = CommHandle("recv", src, tag, None, 0.0, self.now)
-        key = (dst, src, tag)
-        sendq = self._pending_sends.get(key)
-        if sendq:
-            sh = sendq.popleft()
+        sh = self._queues[dst].post(src, tag, h)
+        if sh is not NO_MATCH:
             if sh.record is not None:
                 sh.record.t_recv_post = self.now
             self._match(src, dst, tag, sh, h)
-        else:
-            self._pending_recvs[key].append(h)
         return h
 
     def _match(self, src: int, dst: int, tag: int,
@@ -624,13 +571,13 @@ class Engine:
         # Each blocked rank's oldest unmatched *posted* request: the
         # queues know which side arrived and who never showed up.
         oldest: Dict[int, Tuple] = {}
-        for (dst, src, tag), q in self._pending_sends.items():
-            for h in q:
+        for dst, mq in enumerate(self._queues):
+            for src, tag, h in mq.unexpected_items():
                 cur = oldest.get(src)
                 if cur is None or h.posted_at < cur[0]:
                     oldest[src] = (h.posted_at, "send", dst, tag, h.nbytes)
-        for (dst, src, tag), q in self._pending_recvs.items():
-            for h in q:
+        for dst, mq in enumerate(self._queues):
+            for src, tag, h in mq.posted_items():
                 cur = oldest.get(dst)
                 if cur is None or h.posted_at < cur[0]:
                     oldest[dst] = (h.posted_at, "recv", src, tag, h.nbytes)

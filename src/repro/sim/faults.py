@@ -487,9 +487,10 @@ def corrupt_payload(data: Any, rng: random.Random):
 class AdversaryState:
     """Per-run Byzantine-model machinery, shared by both backends.
 
-    The simulator's engine consults it in ``_post_send``; the process
-    backend's :class:`~repro.runtime.env.ProcessEnv` consults it in
-    ``isend``.  Determinism across backends: the decision for a rank's
+    Both backends consult it at their send site, before the message
+    reaches the receiver's :class:`~repro.core.protocol.MatchQueue`:
+    the simulator's engine in ``_post_send``, the process backend's
+    :class:`~repro.runtime.env.ProcessEnv` in ``isend``.  Determinism across backends: the decision for a rank's
     ``k``-th send depends only on ``(schedule, src, k, now >= t)`` and
     the corruption bytes only on ``(schedule.seed, src, k)`` — not on
     the engine's jitter stream — so given the same algorithm (same

@@ -176,6 +176,18 @@ def test_barrier_orders_ranks():
         assert res.results[r] >= slowest_arrival - 0.15, (r, res.results)
 
 
+def test_alive_is_the_same_method_on_both_backends():
+    # alive(node) is part of the shared env surface; the process backend
+    # has no failure detector, so every peer reports alive there
+    def prog(env):
+        yield env.delay(0.0)
+        return [env.alive(peer) for peer in range(env.nranks)]
+
+    sim = Machine(LinearArray(2), preset("paragon")).run(prog)
+    real = ProcessMachine(2, timeout=30).run(prog)
+    assert sim.results == real.results == [[True, True], [True, True]]
+
+
 def test_split_row_col_byte_identical():
     topo = Mesh2D(2, 3)
 
