@@ -242,12 +242,12 @@ def audit_case(case: ChaosCase, params, measure=measure_sim,
     the production path: ``chosen`` is what ``algorithm="auto"``
     dispatch resolves (bucketed pricing) under the same ``params``.
     """
-    from ..core.api import group_mesh_shape
+    from ..core.groups import Group
     from ..core.selection import selector_for
 
     members = case.members()
     p = len(members)
-    mshape = group_mesh_shape(members, case.topology())
+    mshape = Group.of(case.topology(), members).mesh_shape
     sel = selector_for(params, itemsize=np.dtype(case.dtype).itemsize)
     # exact-length pricing for the model-error ratios ...
     candidates = [(c.strategy, c.cost)

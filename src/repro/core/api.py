@@ -32,12 +32,14 @@ Every operation accepts:
 
 from __future__ import annotations
 
-from typing import Generator, Optional, Sequence, Tuple, Union
+from typing import Generator, Optional, Sequence, Union
 
 import numpy as np
 
 from .context import CollContext
-from .groups import classify
+# ``classify`` stays a module attribute: perfbench/spans.py wraps
+# ``api.classify`` by name (``Group.structure`` runs it once per group).
+from .groups import classify  # noqa: F401
 from .hybrid import (hybrid_allreduce, hybrid_bcast, hybrid_collect,
                      hybrid_reduce, hybrid_reduce_scatter)
 from .primitives_short import mst_bcast, mst_gather, mst_reduce, mst_scatter
@@ -62,21 +64,6 @@ def _context(env, group, tag) -> CollContext:
             raise ValueError("pass either a context or a group, not both")
         return env
     return CollContext(env, group, tag)
-
-
-def group_mesh_shape(group: Sequence[int], topology
-                     ) -> Optional[Tuple[int, int]]:
-    """(subrows, subcols) if the group is mesh-aligned, else None.
-
-    A row is ``(1, k)`` and a column ``(k, 1)``.  ``topology=None`` (a
-    real backend launched without a machine description) reports None:
-    the group is priced as a linear array, exactly the paper's rule for
-    groups whose structure "cannot be ascertained" (section 9).
-    """
-    if topology is None:
-        return None
-    struct = classify(group, topology)
-    return struct.shape if struct.is_mesh_aligned else None
 
 
 #: itemsize every rank assumes when no dtype is declared (float64).
@@ -175,8 +162,7 @@ def resolve_strategy(ctx: CollContext, operation: str,
             if beta_mult > 1.0:
                 params = params.with_(beta=params.beta * beta_mult)
         sel = selector_for(params, itemsize=itemsize)
-        mesh_shape = group_mesh_shape(ctx.group,
-                                      getattr(ctx.env, "topology", None))
+        mesh_shape = ctx.grp.mesh_shape
         choice = sel.best(operation, p, n, mesh_shape=mesh_shape)
         if ctx.tracer is not None:
             _capture_prediction(ctx, sel, operation, p, n, itemsize,

@@ -16,13 +16,14 @@ All methods are SPMD generators, like the rest of the library.
 
 from __future__ import annotations
 
-from typing import Generator, Optional, Sequence, Tuple
+from typing import Generator, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from . import api
 from .context import CollContext
-from .groups import classify
+from .groups import Group
+from .protocol import RankEnvBase
 
 #: radix of the derived-context-id scheme.  Ids are base-_FANOUT digit
 #: strings: child ``k`` of a communicator appends digit ``k``
@@ -46,7 +47,7 @@ class Communicator:
     the same sequence of derivation and collective calls.
     """
 
-    def __init__(self, env, group: Optional[Sequence[int]] = None,
+    def __init__(self, env, group: Union[None, Sequence[int], Group] = None,
                  context_id: int = 1):
         self.env = env
         self.ctx = CollContext(env, group, tag=context_id)
@@ -59,7 +60,7 @@ class Communicator:
     # ------------------------------------------------------------------
 
     @classmethod
-    def world(cls, env: RankEnv) -> "Communicator":
+    def world(cls, env: RankEnvBase) -> "Communicator":
         """The communicator over all nodes."""
         return cls(env, None, context_id=1)
 
@@ -107,8 +108,8 @@ class Communicator:
         Every member of *this* communicator must call this (SPMD); the
         returned communicator's ``rank`` is None for non-members.
         """
-        group = [self.ctx.group[l] for l in lranks]
-        return Communicator(self.env, group, self._next_context_id())
+        return Communicator(self.env, self.ctx.grp.sub(lranks),
+                            self._next_context_id())
 
     def shrink(self) -> "Communicator":
         """Subcommunicator excluding crashed nodes (ULFM-style recovery,
@@ -153,33 +154,30 @@ class Communicator:
         members = [l for l in range(self.size)
                    if pairs[l, 0] == color]
         members.sort(key=lambda l: (int(pairs[l, 1]), l))
-        group = [self.ctx.group[l] for l in members]
-        cid = self._next_context_id()
-        return Communicator(self.env, group, cid)
+        return Communicator(self.env, self.ctx.grp.sub(members),
+                            self._next_context_id())
 
     # ------------------------------------------------------------------
     # mesh helpers
     # ------------------------------------------------------------------
 
     def _submesh_shape(self) -> Tuple[int, int]:
-        topology = getattr(self.env, "topology", None)
-        if topology is None:
+        grp = self.ctx.grp
+        if grp.topology is None:
             raise RuntimeError(
                 "communicator group structure is unknown: the env has no "
                 "topology metadata (launch the backend with a topology "
                 "description to use row/col communicators)")
-        struct = classify(self.ctx.group, topology)
-        if not struct.is_mesh_aligned or struct.shape is None:
+        if grp.mesh_shape is None:
             raise RuntimeError(
                 "communicator group is not a mesh-aligned submesh")
-        return struct.shape
+        return grp.mesh_shape
 
     def row_comm(self) -> "Communicator":
         """Communicator over this rank's row of the submesh group."""
         me = self.ctx.require_member()
         nr, nc = self._submesh_shape()
         r = me // nc
-        lranks = [r * nc + c for c in range(nc)]
         # every rank derives all row communicators in the same order so
         # context ids agree; return the one containing this rank
         comms = [self.incl([rr * nc + c for c in range(nc)])

@@ -11,12 +11,17 @@ against logical ranks ``0 .. size-1``; the context translates them to
 physical node ids when posting sends and receives.  Hybrid algorithms
 recurse by deriving *subgroup* contexts (rows, columns, strided lines of
 a logical mesh) from a parent context.
+
+The group array itself is a :class:`~repro.core.groups.Group`, interned
+per machine: every rank's context over the same members refers to one
+validated object, so building a context is O(1) rather than O(p).
 """
 
 from __future__ import annotations
 
-from typing import Any, Optional, Sequence, Tuple
+from typing import Any, Optional, Sequence, Tuple, Union
 
+from .groups import Group
 from .protocol import CommHandle, _WaitGroup
 
 
@@ -36,8 +41,10 @@ class CollContext:
     env:
         The rank's env (simulated or real backend).
     group:
-        Physical node ids, logical order.  ``None`` means all nodes in
-        rank order (the whole-machine group).
+        Physical node ids, logical order, or a :class:`Group`.  ``None``
+        means all nodes in rank order (the whole-machine group).  The
+        context keeps the machine's interned :class:`Group` as ``grp``;
+        ``group`` and the phys-to-logical map are that object's.
     tag:
         Message tag for this collective context.  Concurrent collectives
         on overlapping groups must use distinct tags; sequential stages
@@ -45,20 +52,19 @@ class CollContext:
         (source, tag) pair).
     """
 
-    __slots__ = ("env", "group", "tag", "rank", "_phys2log", "_op_attrs")
+    __slots__ = ("env", "grp", "group", "tag", "rank", "_phys2log",
+                 "_op_attrs")
 
-    def __init__(self, env, group: Optional[Sequence[int]] = None,
+    def __init__(self, env, group: Union[None, Sequence[int], Group] = None,
                  tag: int = 0):
         self.env = env
-        if group is None:
-            group = range(env.nranks)
-        self.group: Tuple[int, ...] = tuple(group)
-        if len(set(self.group)) != len(self.group):
-            raise ValueError("group contains duplicate node ids")
-        if not self.group:
-            raise ValueError("group must contain at least one node")
+        if not isinstance(group, Group):
+            group = Group.of(getattr(env, "topology", None), group,
+                             env.nranks)
+        self.grp = group
+        self.group: Tuple[int, ...] = group.members
+        self._phys2log = group.phys2log
         self.tag = tag
-        self._phys2log = {p: l for l, p in enumerate(self.group)}
         self.rank: Optional[int] = self._phys2log.get(env.rank)
         self._op_attrs: Optional[dict] = None
 
@@ -218,8 +224,7 @@ class CollContext:
     def subgroup(self, lranks: Sequence[int], tag: Optional[int] = None
                  ) -> "CollContext":
         """Context over a subset of this group, in the given logical order."""
-        return CollContext(self.env,
-                           [self.group[l] for l in lranks],
+        return CollContext(self.env, self.grp.sub(lranks),
                            tag=self.tag if tag is None else tag)
 
     def strided_line(self, start: int, stride: int, count: int
@@ -228,8 +233,11 @@ class CollContext:
 
         This is how a linear group is viewed as a logical mesh (section
         6): dimension ``i`` lines have stride ``d_1 * ... * d_{i-1}``.
+        The line's :class:`Group` is memoised on this one, so every rank
+        on the line shares it.
         """
-        return self.subgroup([start + stride * k for k in range(count)])
+        return CollContext(self.env, self.grp.line(start, stride, count),
+                           tag=self.tag)
 
     def __repr__(self) -> str:
         g = list(self.group)

@@ -11,12 +11,15 @@ treated as though it were a linear array."
 feeds strategy selection: submesh groups get mesh-aware conflict factors
 (rows and columns are conflict-free highways), everything else gets the
 linear-array model.
+
+A :class:`Group` does that extraction once per machine rather than once
+per rank: one validated, immutable object per ``(topology, members)``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 from .topology import Mesh2D, Topology, Torus2D
 
@@ -70,10 +73,10 @@ def classify(nodes: Sequence[int], topology: Topology) -> GroupStructure:
         raise ValueError("empty group")
     if len(nodes) == 1:
         return GroupStructure("contiguous", 1)
-
     if isinstance(topology, (Mesh2D, Torus2D)):
-        return _classify_mesh(nodes, topology)
-
+        struct = _classify_mesh(nodes, topology)
+        if struct is not None:
+            return struct
     stride = _common_stride(nodes)
     if stride == 1:
         return GroupStructure("contiguous", 1)
@@ -82,7 +85,8 @@ def classify(nodes: Sequence[int], topology: Topology) -> GroupStructure:
     return GroupStructure("unstructured")
 
 
-def _classify_mesh(nodes: Sequence[int], mesh) -> GroupStructure:
+def _classify_mesh(nodes: Sequence[int], mesh) -> Optional[GroupStructure]:
+    """Row, column or submesh structure, else None (stride rules apply)."""
     coords = [mesh.coords(v) for v in nodes]
     rows = sorted({r for r, _ in coords})
     cols = sorted({c for _, c in coords})
@@ -107,10 +111,86 @@ def _classify_mesh(nodes: Sequence[int], mesh) -> GroupStructure:
                   for i in range(len(nodes))]
         if coords == expect:
             return GroupStructure("submesh", 1, shape=(nr, nc))
+    return None
 
-    stride = _common_stride(list(nodes))
-    if stride == 1:
-        return GroupStructure("contiguous", 1)
-    if stride is not None:
-        return GroupStructure("strided", stride)
-    return GroupStructure("unstructured")
+
+class Group:
+    """One validated node group on one machine, shared by all its ranks.
+
+    Immutable and interned: :meth:`of` returns one object per
+    ``(topology, members)``, holding ``members`` (logical -> physical),
+    ``phys2log``, the lazily classified :attr:`structure` and memoised
+    strided :meth:`line` children.  The intern table is a dict attribute
+    of the topology, so it is freed with it (a ``Group`` refers to its
+    topology, so a table keyed *by* the topology never would be).
+    Without a topology there is nothing to share: each call builds one.
+    """
+
+    __slots__ = ("members", "phys2log", "topology", "nnodes",
+                 "_structure", "_lines")
+
+    def __init__(self, members: Tuple[int, ...],
+                 topology: Optional[Topology], nnodes: int):
+        phys2log = {p: l for l, p in enumerate(members)}
+        if len(phys2log) != len(members):
+            raise ValueError("group contains duplicate node ids")
+        if not members:
+            raise ValueError("group must contain at least one node")
+        if min(members) < 0 or max(members) >= nnodes:
+            bad = next(v for v in members if not 0 <= v < nnodes)
+            raise ValueError(f"node {bad} out of range [0, {nnodes})")
+        self.members = members
+        self.phys2log = phys2log
+        self.topology = topology
+        self.nnodes = nnodes
+        self._structure: Optional[GroupStructure] = None
+        self._lines: Dict[Tuple[int, int, int], Group] = {}
+
+    @classmethod
+    def of(cls, topology: Optional[Topology],
+           members: Optional[Sequence[int]] = None,
+           nnodes: int = 0) -> "Group":
+        """The group of ``members`` (None: every node) on ``topology``;
+        ``nnodes`` sizes the machine when there is no topology."""
+        if topology is None:
+            table: Dict = {}
+        else:
+            table = topology.__dict__.setdefault("_groups", {})
+            nnodes = topology.nnodes
+        key = None if members is None else tuple(members)
+        grp = table.get(key)
+        if grp is None:
+            full = tuple(range(nnodes)) if key is None else key
+            grp = table.get(full) or cls(full, topology, nnodes)
+            table[full] = table[key] = grp
+        return grp
+
+    @property
+    def structure(self) -> GroupStructure:
+        """Physical layout (:func:`classify`), extracted on first use."""
+        if self._structure is None:
+            self._structure = classify(self.members, self.topology)
+        return self._structure
+
+    @property
+    def mesh_shape(self) -> Optional[Tuple[int, int]]:
+        """(subrows, subcols) if mesh-aligned (a row is ``(1, k)``, a
+        column ``(k, 1)``), else None: the group is priced as a linear
+        array, as is any group without a topology, whose structure
+        "cannot be ascertained" (section 9)."""
+        struct = self.structure
+        return struct.shape if struct.is_mesh_aligned else None
+
+    def sub(self, lranks: Sequence[int]) -> "Group":
+        """The group of these logical ranks, in this order."""
+        return Group.of(self.topology, [self.members[l] for l in lranks],
+                        self.nnodes)
+
+    def line(self, start: int, stride: int, count: int) -> "Group":
+        """Logical ranks ``start, start + stride, ...`` (``count``)."""
+        key = (start, stride, count)
+        child = self._lines.get(key)
+        if child is None:
+            child = self._lines[key] = self.sub(
+                [start + stride * k for k in range(count)])
+        return child

@@ -9,6 +9,7 @@ library agrees on block boundaries without communicating them.
 
 from __future__ import annotations
 
+import itertools
 from typing import List, Sequence
 
 import numpy as np
@@ -26,12 +27,9 @@ def partition_sizes(n: int, p: int) -> List[int]:
 
 def partition_offsets(sizes: Sequence[int]) -> List[int]:
     """Prefix sums: ``offsets[i] .. offsets[i+1]`` is block ``i``."""
-    offs = [0]
-    for s in sizes:
-        if s < 0:
-            raise ValueError("block sizes must be non-negative")
-        offs.append(offs[-1] + s)
-    return offs
+    if min(sizes, default=0) < 0:
+        raise ValueError("block sizes must be non-negative")
+    return [0, *itertools.accumulate(sizes)]
 
 
 def block_of(x: np.ndarray, sizes: Sequence[int], i: int) -> np.ndarray:

@@ -213,25 +213,12 @@ class ServiceCore:
         self.batches: List[PlannedBatch] = []
         self.tenant_service_v: Dict[str, float] = {}
         self._tenant_seq: Dict[str, int] = {}
-        self._mesh_cache: Dict[Tuple[int, ...], Optional[Tuple[int, int]]] \
-            = {}
         self.submitted = 0
         self.rejected = 0
 
     # ------------------------------------------------------------------
     # pricing (shared by scheduler + fusion planner)
     # ------------------------------------------------------------------
-
-    def _mesh_shape(self, group: Tuple[int, ...]
-                    ) -> Optional[Tuple[int, int]]:
-        if self.topology is None:
-            return None
-        shape = self._mesh_cache.get(group)
-        if group not in self._mesh_cache:
-            from ..core.api import group_mesh_shape
-            shape = group_mesh_shape(group, self.topology)
-            self._mesh_cache[group] = shape
-        return shape
 
     def price(self, op: str, group: Tuple[int, ...], nelems: int,
               itemsize: int) -> float:
@@ -242,10 +229,12 @@ class ServiceCore:
             return (2 * max(1, math.ceil(math.log2(p)))
                     * NOMINAL_ALPHA_S
                     + nbytes * NOMINAL_BETA_S_PER_BYTE)
+        from ..core.groups import Group
         from ..core.selection import selector_for
         sel = selector_for(self.params, itemsize=itemsize)
-        return sel.best(op, p, nelems,
-                        mesh_shape=self._mesh_shape(group)).cost
+        shape = (None if self.topology is None
+                 else Group.of(self.topology, group).mesh_shape)
+        return sel.best(op, p, nelems, mesh_shape=shape).cost
 
     def _price_request(self, req: CollectiveRequest) -> float:
         return self.price(req.op, req.group, req.payload.length,

@@ -1,15 +1,22 @@
 """Tests for the MPI-like communicator layer (sections 9-10)."""
 
+import typing
+
 import numpy as np
 import pytest
 
 from repro.core import Communicator
+from repro.core.protocol import RankEnvBase
 from repro.sim import LinearArray, Machine, Mesh2D, UNIT
 
 from .conftest import run_linear, run_mesh
 
 
 class TestWorld:
+    def test_world_annotations_resolve(self):
+        hints = typing.get_type_hints(Communicator.world)
+        assert hints["env"] is RankEnvBase
+
     def test_world_shape(self):
         def prog(env):
             w = Communicator.world(env)

@@ -51,8 +51,11 @@ class TestOffsetsAndBlocks:
         assert partition_offsets([3, 3, 2]) == [0, 3, 6, 8]
 
     def test_negative_size_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="non-negative"):
             partition_offsets([2, -1])
+
+    def test_no_blocks(self):
+        assert partition_offsets([]) == [0]
 
     def test_block_of(self):
         x = np.arange(10.0)
