@@ -42,7 +42,7 @@ from __future__ import annotations
 import random
 from dataclasses import replace
 
-from repro.chaos.generator import ChaosCase, fault_schedule
+from repro.chaos.generator import OPS, ChaosCase, fault_schedule
 from repro.chaos.oracles import clean_run, make_program, mismatched_ranks
 from repro.core.communicator import Communicator
 from repro.sim import (FaultDiagnosis, Machine, SimulationLimitError,
@@ -55,8 +55,6 @@ TOPOLOGIES = {
     "mesh4x6": (("mesh", 4, 6), "paragon"),
     "linear12": (("linear", 12), "unit"),
 }
-
-OPS = ("bcast", "reduce", "allreduce", "collect", "reduce_scatter")
 
 PROFILES = ("baseline", "jitter", "slowdown", "link-perm",
             "link-transient", "crash", "crash-shrink")

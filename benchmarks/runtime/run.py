@@ -18,24 +18,25 @@ Two experiments:
   (median over repeated trials of the slowest rank's timed loop), next
   to the simulator's *predicted* time for the same collective under the
   **fitted profile** (the model applied to the machine the measurement
-  says we have).
+  says we have).  Both sides run the shared case program of
+  :mod:`repro.chaos.oracles` through the model audit's measure path:
+  :func:`repro.analysis.audit.timed_program` on real processes,
+  :func:`repro.analysis.audit.measure_sim` for the prediction.
 
-Two calibration bugs this harness used to have, both fixed here and
-regression-relevant:
+Two conditions keep the wall/predicted comparison fair:
 
-* the predicted time came from a simulated run of the *same rank
-  program*, whose wall-clock timer starts after the barrier — but the
-  simulator's ``run().time`` included the barrier, inflating every
-  prediction by ~4 alpha;
-* the measuring :class:`ProcessMachine` ran with ``params=None`` (the
-  fixed-threshold auto fallback) while the predictor simulated with the
-  fitted constants, so for lengths near the crossover the two backends
-  executed *different strategies*.  The machine now carries the fitted
-  profile, so auto dispatch resolves identically on both sides.
+* the prediction simulates the bare case program, without the barrier
+  that starts the wall clock (including it adds ~4 alpha);
+* the measuring :class:`ProcessMachine` carries the fitted profile, so
+  auto dispatch resolves the same strategy the predictor simulates
+  (with ``params=None`` it would fall back to the fixed threshold and,
+  near the crossover, execute a *different strategy*).
 
 ``--check`` gates the wall/predicted ratios: the median over the
 collective grid must land in ``[0.5, 2.0]`` — the fitted model must
 track live hardware within 2x where the 1994 presets sat at 1.9-4x.
+It also fails on any wrong payload (the ``wrong_ranks`` field of a
+collective entry).
 
 A third experiment rides along since runtime tracing landed: every
 collective is re-measured with ``trace=True`` (the ``wall_s_traced``
@@ -82,71 +83,31 @@ COLLECTIVES = ["bcast", "allreduce", "collect", "reduce_scatter"]
 _COLL_P = 4
 
 
-def _collective_body(env, op, n, me, sizes):
-    from repro.core import api
-    if op == "bcast":
-        buf = np.arange(n, dtype=np.float64) if me == 0 else None
-        yield from api.bcast(env, buf, root=0, total=n)
-    elif op == "allreduce":
-        yield from api.allreduce(env, np.arange(n, dtype=np.float64) + me)
-    elif op == "collect":
-        blk = np.arange(sizes[me], dtype=np.float64) + me
-        yield from api.collect(env, blk, sizes=sizes)
-    elif op == "reduce_scatter":
-        yield from api.reduce_scatter(
-            env, np.arange(n, dtype=np.float64) + me, sizes=sizes)
-    else:  # pragma: no cover
-        raise AssertionError(op)
-
-
-def _collective_prog(op, n, reps):
-    """Timed rank program: barrier, then ``reps`` collectives around a
-    wall clock.  Returns mean seconds per collective."""
-    def prog(env):
-        from repro.core import api
-        from repro.core.partition import partition_sizes
-        sizes = partition_sizes(n, env.nranks)
-        yield from api.barrier(env)
-        t0 = time.perf_counter()
-        for _ in range(reps):
-            yield from _collective_body(env, op, n, env.rank, sizes)
-        return (time.perf_counter() - t0) / reps
-    return prog
-
-
-def _collective_only_prog(op, n):
-    """Prediction program: exactly one collective, **no barrier** — the
-    simulated time must cover what the measured wall clock covers."""
-    def prog(env):
-        from repro.core.partition import partition_sizes
-        sizes = partition_sizes(n, env.nranks)
-        yield from _collective_body(env, op, n, env.rank, sizes)
-    return prog
-
-
 def measure_collectives(machine, ns, reps, trials, fitted_params):
     """Per-collective wall seconds (median of trials of the slowest
-    rank) and the fitted model's barrier-free prediction."""
+    rank), untraced and traced, next to the fitted model's
+    barrier-free prediction; every payload is checked against the
+    case's oracle."""
+    from repro.analysis.audit import cell_case, measure_sim, timed_program
     from repro.analysis.calibrate import trial_spread
-    from repro.core.topology import LinearArray
-    from repro.sim import Machine
+    from repro.chaos.oracles import mismatched_ranks
 
     out = {}
-    predictor = Machine(LinearArray(_COLL_P), fitted_params)
     for op in COLLECTIVES:
         for n in ns:
-            raw = []
-            raw_traced = []
+            case = cell_case(op, ("line", _COLL_P), n)
+            prog = timed_program(case, "auto", reps)
+            raw, raw_traced, wrong = [], [], set()
             for _ in range(trials):
-                res = machine.run(_collective_prog(op, n, reps))
-                raw.append(max(t for t in res.results if t is not None))
-                res = machine.run(_collective_prog(op, n, reps),
-                                  trace=True)
-                raw_traced.append(
-                    max(t for t in res.results if t is not None))
+                for trace, sink in ((False, raw), (True, raw_traced)):
+                    res = machine.run(prog, trace=trace)
+                    sink.append(max(t for t, _ in res.results))
+                    wrong.update(mismatched_ranks(
+                        case, [got for _, got in res.results]))
             wall = statistics.median(raw)
-            predicted = predictor.run(_collective_only_prog(op, n)).time
-            out[f"{op}/p{_COLL_P}/n{n}"] = {
+            predicted, results = measure_sim(case, "auto", fitted_params)
+            wrong.update(mismatched_ranks(case, results))
+            entry = {
                 "wall_s": wall,
                 "wall_s_traced": statistics.median(raw_traced),
                 "wall_trials": [float(t) for t in raw],
@@ -154,6 +115,9 @@ def measure_collectives(machine, ns, reps, trials, fitted_params):
                 "predicted_s": predicted,
                 "ratio": wall / predicted if predicted > 0 else None,
             }
+            if wrong:
+                entry["wrong_ranks"] = sorted(wrong)
+            out[f"{op}/p{_COLL_P}/n{n}"] = entry
     return out
 
 
@@ -335,6 +299,11 @@ def main(argv=None) -> int:
         lo, hi = RATIO_GATE
         if not stats.get("count"):
             print("FAIL: no ratio samples")
+            return 1
+        wrong = {cid: e["wrong_ranks"] for cid, e in collectives.items()
+                 if e.get("wrong_ranks")}
+        if wrong:
+            print(f"FAIL: wrong payloads (collective -> ranks): {wrong}")
             return 1
         if not lo <= stats["median"] <= hi:
             print(f"FAIL: median wall/predicted ratio "

@@ -192,25 +192,14 @@ def measure_sim(case: ChaosCase, algorithm, params):
     return run.time, run.results
 
 
-def measure_runtime(case: ChaosCase, algorithm, params, *,
-                    transport: str = "local", reps: int = 3,
-                    trials: int = 3, timeout: float = 120.0):
-    """Wall ``(seconds, per-rank results)`` of one pinned strategy on
-    real processes.
-
-    Each trial runs the case's program ``reps`` times after a group
-    barrier, wall clock around the loop (process spawn and mesh wiring
-    excluded), and keeps the slowest member's mean per rep; the trials
-    reduce by median.  Results are the last trial's payloads.
-    """
+def timed_program(case: ChaosCase, algorithm, reps: int):
+    """The case's program run ``reps`` times after a group barrier,
+    wall clock around the loop; each member returns ``(mean seconds per
+    rep, last payload)``."""
     import time
 
     from ..core import api
-    from ..runtime.launch import ProcessMachine
-    from .calibrate import aggregate_trials
 
-    machine = ProcessMachine(topology=case.topology(), params=params,
-                             transport=transport, timeout=timeout)
     inner = make_program(case, algorithm)
     group = list(case.group) if case.group is not None else None
 
@@ -222,7 +211,25 @@ def measure_runtime(case: ChaosCase, algorithm, params, *,
         for _ in range(reps):
             out = yield from inner(env)
         return (time.perf_counter() - t0) / reps, out
+    return timed
 
+
+def measure_runtime(case: ChaosCase, algorithm, params, *,
+                    transport: str = "local", reps: int = 3,
+                    trials: int = 3, timeout: float = 120.0):
+    """Wall ``(seconds, per-rank results)`` of one pinned strategy on
+    real processes.
+
+    Each trial runs :func:`timed_program` (process spawn and mesh
+    wiring excluded) and keeps the slowest member's mean per rep; the
+    trials reduce by median.  Results are the last trial's payloads.
+    """
+    from ..runtime.launch import ProcessMachine
+    from .calibrate import aggregate_trials
+
+    machine = ProcessMachine(topology=case.topology(), params=params,
+                             transport=transport, timeout=timeout)
+    timed = timed_program(case, algorithm, reps)
     raw = []
     for _ in range(trials):
         res = machine.run(timed)
@@ -398,10 +405,9 @@ def build_audit(grid_name="smoke", params_name: str = "paragon",
     the alpha/beta drift fit pooled over the conflict-free verification
     traffic.
     """
-    from ..obs.audit import (BUILDING_BLOCKS, drift_from_runs,
-                             run_block_primitive, verify_building_blocks)
+    from ..obs.audit import (drift_from_runs, run_block_primitive,
+                             verify_building_blocks)
     from ..core.params import preset
-    from ..core.topology import Mesh2D
 
     params = preset(params_name)
     grid = GRIDS[grid_name] if isinstance(grid_name, str) else grid_name
@@ -409,21 +415,21 @@ def build_audit(grid_name="smoke", params_name: str = "paragon",
 
     verdicts = []
     for p in CONFLICT_PS:
-        for v in verify_building_blocks(p, params=params).values():
-            verdicts.append(v)
+        verdicts.extend(verify_building_blocks(("linear", p),
+                                               params=params).values())
     # the mesh-aligned claim: a column group of a 4x5 mesh
-    topo = Mesh2D(4, 5)
     col = [r * 5 + 2 for r in range(4)]
-    for v in verify_building_blocks(4, params=params, topology=topo,
-                                    group=col).values():
-        verdicts.append(v)
+    verdicts.extend(verify_building_blocks(("mesh", 4, 5), params=params,
+                                           group=col).values())
     if progress is not None:
         bad = [v for v in verdicts if not v.ok]
         progress(f"conflict-freedom: {len(verdicts)} verdicts, "
                  f"{len(bad)} violated")
 
-    drift_runs = [run_block_primitive(kind, 8, params=params, n=n)
-                  for kind in ("mst_bcast", "bucket_collect")
+    drift_runs = [run_block_primitive(cell_case(op, ("line", 8), n),
+                                      algorithm, params)
+                  for op, algorithm in (("bcast", "short"),
+                                        ("collect", "long"))
                   for n in (64, 512, 4096)]
     drift = drift_from_runs(drift_runs, params)
 
@@ -445,9 +451,10 @@ def check(report: Dict[str, object],
     (empty = pass).
 
     Fails on any candidate whose payload violated the oracle, on any
-    violated conflict-freedom verdict (simulator reports), and on median
-    selection regret above ``max_median_regret`` (default: the report's
-    own ``max_median_regret``) — the invariants the library's whole
+    building block that shared a channel or delivered a wrong payload
+    (simulator reports), and on median selection regret above
+    ``max_median_regret`` (default: the report's own
+    ``max_median_regret``) — the invariants the library's whole
     selection story rests on.
     """
     failures: List[str] = []
@@ -459,12 +466,16 @@ def check(report: Dict[str, object],
                     f"n={cell['n']}: strategy {c['strategy']} returned "
                     f"wrong payloads on ranks {c['wrong_ranks']}")
     for v in report.get("conflict_freedom", ()):
-        if not v["ok"]:
+        where = f"{v['block']} p={v['p']} on {v['topology']}"
+        if v["contended"]:
             chans = ", ".join(str(tuple(c["channel"]))
                               for c in v["contended"])
             failures.append(
-                f"conflict-freedom violated: {v['block']} p={v['p']} on "
-                f"{v['topology']} shared {chans}")
+                f"conflict-freedom violated: {where} shared {chans}")
+        if v.get("wrong_ranks"):
+            failures.append(
+                f"building block {where} returned wrong payloads on "
+                f"ranks {v['wrong_ranks']}")
     if max_median_regret is None:
         max_median_regret = report.get("max_median_regret",
                                        MAX_MEDIAN_REGRET)

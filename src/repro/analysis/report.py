@@ -33,6 +33,7 @@ import os
 import sys
 from typing import Dict, List, Optional, Sequence
 
+from ..chaos.generator import OPS
 from ..obs.trace import write_chrome_trace
 
 #: Paper reference values for Table 3 (operation, bytes) -> ratio.
@@ -159,9 +160,8 @@ def build_report(results_dir: str) -> str:
 # --trace: run one instrumented collective and export it
 # ----------------------------------------------------------------------
 
-#: --trace scenario name -> rank-program factory (built lazily so the
-#: CSV report path stays import-light)
-TRACE_OPS = ("bcast", "reduce", "allreduce", "collect", "reduce_scatter")
+#: the --trace scenarios: the collectives the chaos generator draws
+TRACE_OPS = OPS
 
 
 def run_traced_scenario(op: str, p: int, nbytes: int,
@@ -175,24 +175,22 @@ def run_traced_scenario(op: str, p: int, nbytes: int,
     from ..core.params import preset
     from ..core.topology import LinearArray
 
-    if op not in TRACE_OPS:
-        raise SystemExit(f"unknown op {op!r}; known: {', '.join(TRACE_OPS)}")
-    n = max(nbytes // 8, 1)
     machine = Machine(LinearArray(p), preset(params_name))
-    return machine.run(_trace_program(op, p, n, algorithm), trace=True,
-                       metrics=True)
+    return machine.run(_trace_program(op, p, nbytes, algorithm),
+                       trace=True, metrics=True)
 
 
-def _trace_program(op: str, p: int, n: int, algorithm: str):
+def _trace_program(op: str, p: int, nbytes: int, algorithm: str):
     """The --trace scenario's rank program (both backends): the shared
     collective-case program of :mod:`repro.chaos.oracles` over all
     ``p`` ranks of a linear array."""
-    from ..chaos.generator import ChaosCase
     from ..chaos.oracles import make_program
+    from .audit import cell_case
 
-    return make_program(ChaosCase(topo=("linear", p), params="", op=op,
-                                  n=n, dtype="float64", group=None,
-                                  profile="none"), algorithm)
+    if op not in TRACE_OPS:
+        raise SystemExit(f"unknown op {op!r}; known: {', '.join(TRACE_OPS)}")
+    return make_program(cell_case(op, ("line", p), max(nbytes // 8, 1)),
+                        algorithm)
 
 
 def trace_main_runtime(op: str, p: int, nbytes: int, algorithm: str,
@@ -207,11 +205,8 @@ def trace_main_runtime(op: str, p: int, nbytes: int, algorithm: str,
     """
     from ..runtime.launch import ProcessMachine
 
-    if op not in TRACE_OPS:
-        raise SystemExit(f"unknown op {op!r}; known: {', '.join(TRACE_OPS)}")
-    n = max(nbytes // 8, 1)
     machine = ProcessMachine(p, transport=transport)
-    res = machine.run(_trace_program(op, p, n, algorithm), trace=True)
+    res = machine.run(_trace_program(op, p, nbytes, algorithm), trace=True)
     write_chrome_trace(res.trace, out_path, timescale=timescale)
     print(f"{op} p={p} nbytes={nbytes} [runtime/{transport}]: "
           f"t={res.time:.3f}s wall, {res.trace.message_count()} "

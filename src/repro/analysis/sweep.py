@@ -14,9 +14,9 @@ from typing import Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
-from ..chaos.generator import ChaosCase
 from ..chaos.oracles import make_program, mismatched_ranks
 from ..sim.machine import Machine, RunResult
+from .audit import cell_case
 
 
 @dataclass
@@ -71,9 +71,8 @@ def run_operation(machine: Machine, operation: str, nbytes: int,
     Runs the shared program of :mod:`repro.chaos.oracles`; the case's
     topology only fixes the rank count, the run uses ``machine``.
     """
-    case = ChaosCase(topo=("linear", machine.topology.nnodes), params="",
-                     op=operation, n=elements_for(nbytes), dtype="float64",
-                     group=None, profile="none")
+    case = cell_case(operation, ("line", machine.topology.nnodes),
+                     elements_for(nbytes))
     result = machine.run(make_program(case, algorithm))
     bad = mismatched_ranks(case, result.results) if check else []
     if bad:

@@ -3,18 +3,22 @@
 The one source of "the rank program for op X and its expected result"
 in the repo: the autopilot, the fixed chaos grid
 (``benchmarks/chaos/``), both model audits (:mod:`repro.analysis.audit`
-checks every measured candidate against :func:`expected_results`) and
-the ``--trace`` scenarios all run :func:`make_program`.
+checks every measured candidate against :func:`expected_results`), the
+building-block conflict verifier and drift fit
+(:mod:`repro.obs.audit`), the runtime microbench
+(``benchmarks/runtime/``), the figure sweeps and the ``--trace``
+scenarios all run :func:`make_program`.
 
 Input vectors are a pure function of the member's *logical* index, the
 length and the dtype — values stay small (< 139) so integer dtypes
-never wrap and float32 sums stay exact — which keeps the oracle
-analytic: no clean run is needed to know what a payload should be.
+never wrap and float32 sums stay exact — so the oracle needs no clean
+run: :func:`expected_results` is Table 1's sequential reference
+(:mod:`repro.core.validation`) applied to those inputs.
 
-Matching rule: pure data movement (``bcast``/``collect``) must be
-bit-exact no matter what the network does; element-wise combines
-accumulate in strategy-dependent order, so float results are correct
-within tolerance and integer results exactly.
+Matching rule: pure data movement (``bcast``/``collect``/``scatter``/
+``gather``) must be bit-exact no matter what the network does;
+element-wise combines accumulate in strategy-dependent order, so float
+results are correct within tolerance and integer results exactly.
 """
 
 from __future__ import annotations
@@ -25,12 +29,15 @@ import numpy as np
 
 from repro.core import api
 from repro.core.partition import partition_sizes
+from repro.core.validation import (ref_allreduce, ref_bcast, ref_collect,
+                                   ref_gather, ref_reduce,
+                                   ref_reduce_scatter, ref_scatter)
 from repro.sim import Machine, preset
 
 from .generator import ChaosCase, build_topology
 
 #: ops whose payloads are moved, never combined — bit-exactness required
-MOVEMENT_OPS = ("bcast", "collect")
+MOVEMENT_OPS = ("bcast", "collect", "scatter", "gather")
 
 
 def case_vec(me: int, n: int, dtype: str) -> np.ndarray:
@@ -40,7 +47,11 @@ def case_vec(me: int, n: int, dtype: str) -> np.ndarray:
 
 
 def make_program(case: ChaosCase, algorithm="auto"):
-    """The case's collective as an SPMD rank program (both backends)."""
+    """The case's collective as an SPMD rank program (both backends).
+
+    ``algorithm`` is ignored for ``scatter``/``gather``: the MST is
+    their only algorithm (sections 4.1/4.2), so the API takes none.
+    """
     op, n, dtype = case.op, case.n, case.dtype
     group = list(case.group) if case.group is not None else None
 
@@ -73,6 +84,15 @@ def make_program(case: ChaosCase, algorithm="auto"):
                                                 op="sum", group=g,
                                                 dtype=dtype,
                                                 algorithm=algorithm)
+        elif op == "scatter":
+            buf = case_vec(0, n, dtype) if me == 0 else None
+            out = yield from api.scatter(env, buf, root=0,
+                                         sizes=partition_sizes(n, size),
+                                         group=g)
+        elif op == "gather":
+            sizes = partition_sizes(n, size)
+            out = yield from api.gather(env, case_vec(me, sizes[me], dtype),
+                                        root=0, sizes=sizes, group=g)
         else:  # pragma: no cover
             raise ValueError(op)
         return out
@@ -80,34 +100,32 @@ def make_program(case: ChaosCase, algorithm="auto"):
 
 
 def expected_results(case: ChaosCase) -> List[Optional[np.ndarray]]:
-    """Analytic per-physical-rank oracle (None for non-members/non-roots)."""
+    """Per-physical-rank oracle (None for non-members/non-roots): the
+    Table 1 reference of :mod:`repro.core.validation` over the
+    :func:`case_vec` inputs."""
     op, n, dtype = case.op, case.n, case.dtype
     members = case.members()
     size = len(members)
-    out: List[Optional[np.ndarray]] = [None] * case.nranks
-    if op == "bcast":
+    sizes = partition_sizes(n, size)
+    if op in ("bcast", "scatter"):
         x = case_vec(0, n, dtype)
-        vals = [x] * size
-    elif op == "reduce":
-        total = sum(case_vec(me, n, dtype).astype(np.float64)
-                    for me in range(size)).astype(dtype)
-        vals = [total if me == 0 else None for me in range(size)]
-    elif op == "allreduce":
-        total = sum(case_vec(me, n, dtype).astype(np.float64)
-                    for me in range(size)).astype(dtype)
-        vals = [total] * size
-    elif op == "collect":
-        sizes = partition_sizes(n, size)
-        full = np.concatenate([case_vec(me, sizes[me], dtype)
-                               for me in range(size)])
-        vals = [full] * size
-    elif op == "reduce_scatter":
-        total = sum(case_vec(me, n, dtype).astype(np.float64)
-                    for me in range(size)).astype(dtype)
-        offs = np.concatenate(([0], np.cumsum(partition_sizes(n, size))))
-        vals = [total[offs[me]:offs[me + 1]] for me in range(size)]
-    else:  # pragma: no cover
-        raise ValueError(op)
+        vals = (ref_bcast(x, size) if op == "bcast"
+                else ref_scatter(x, size, sizes))
+    elif op in ("collect", "gather"):
+        blocks = [case_vec(me, sizes[me], dtype) for me in range(size)]
+        vals = (ref_collect(blocks) if op == "collect"
+                else ref_gather(blocks, root=0))
+    else:
+        vecs = [case_vec(me, n, dtype) for me in range(size)]
+        if op == "reduce":
+            vals = ref_reduce(vecs, "sum", root=0)
+        elif op == "allreduce":
+            vals = ref_allreduce(vecs, "sum")
+        elif op == "reduce_scatter":
+            vals = ref_reduce_scatter(vecs, "sum", sizes)
+        else:  # pragma: no cover
+            raise ValueError(op)
+    out: List[Optional[np.ndarray]] = [None] * case.nranks
     for me, member in enumerate(members):
         out[member] = vals[me]
     return out

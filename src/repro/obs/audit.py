@@ -28,7 +28,11 @@ Mounié's validation of analytic collective models against measurement:
   reduce-scatter) under channel metrics and turns Table 2's
   "conflict-free on an aligned mesh" prose into a checked invariant: a
   structured :class:`ConflictVerdict` per block, listing any contended
-  channel together with the flows that shared it.
+  channel together with the flows that shared it.  Each block runs the
+  shared case program of :mod:`repro.chaos.oracles` for the ``(op,
+  algorithm)`` cases that exercise it, and every run's payloads are
+  checked against the Table 1 oracle — a fast, conflict-free but wrong
+  block is not ``ok``.
 * :func:`fit_drift` refits alpha/beta from measured message records
   (reusing :func:`repro.analysis.calibrate.fit_alpha_beta`) and reports
   the divergence from the configured
@@ -48,8 +52,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
-
-import numpy as np
 
 from .trace import MessageRecord, Tracer
 
@@ -344,19 +346,30 @@ class ConflictVerdict:
     block: str                  #: building-block name
     p: int                      #: group size exercised
     topology: str               #: machine/topology description
-    ok: bool                    #: True iff zero channel sharing observed
+    ok: bool                    #: no channel sharing, no wrong payload
     contended: Tuple[ChannelShare, ...]
     messages: int               #: messages the verification run carried
+    #: physical ranks whose payload violated the oracle
+    wrong_ranks: Tuple[int, ...] = ()
 
     def to_json(self) -> Dict[str, object]:
-        return {"block": self.block, "p": self.p,
-                "topology": self.topology, "ok": self.ok,
-                "messages": self.messages,
-                "contended": [c.to_json() for c in self.contended]}
+        out = {"block": self.block, "p": self.p,
+               "topology": self.topology, "ok": self.ok,
+               "messages": self.messages,
+               "contended": [c.to_json() for c in self.contended]}
+        if self.wrong_ranks:
+            out["wrong_ranks"] = list(self.wrong_ranks)
+        return out
 
     def __str__(self) -> str:
-        state = "conflict-free" if self.ok else (
-            f"CONTENDED on {len(self.contended)} channel(s)")
+        problems = []
+        if self.contended:
+            problems.append(
+                f"CONTENDED on {len(self.contended)} channel(s)")
+        if self.wrong_ranks:
+            problems.append(
+                f"WRONG payloads on ranks {list(self.wrong_ranks)}")
+        state = "; ".join(problems) or "conflict-free"
         return (f"{self.block} p={self.p} on {self.topology}: {state} "
                 f"({self.messages} messages)")
 
@@ -400,102 +413,63 @@ def contended_channels(run, topology) -> List[ChannelShare]:
     return out
 
 
-#: the four conflict-free building blocks of sections 3-4, each backed
-#: by one or two primitives (a block and its mirror share the verdict)
-BUILDING_BLOCKS: Dict[str, Tuple[str, ...]] = {
-    "mst_bcast_combine": ("mst_bcast", "mst_reduce"),
-    "mst_scatter_gather": ("mst_scatter", "mst_gather"),
-    "bucket_collect": ("bucket_collect",),
-    "bucket_reduce_scatter": ("bucket_reduce_scatter",),
+#: the four conflict-free building blocks of sections 3-4, each mapped
+#: to the ``(op, algorithm)`` cases of :func:`repro.chaos.oracles
+#: .make_program` that exercise it (a block and its mirror share the
+#: verdict).  On one dimension ``"short"`` is the pure MST and ``"long"``
+#: the pure bucket algorithm; scatter/gather are MST-only.
+BUILDING_BLOCKS: Dict[str, Tuple[Tuple[str, str], ...]] = {
+    "mst_bcast_combine": (("bcast", "short"), ("reduce", "short")),
+    "mst_scatter_gather": (("scatter", "short"), ("gather", "short")),
+    "bucket_collect": (("collect", "long"),),
+    "bucket_reduce_scatter": (("reduce_scatter", "long"),),
 }
 
 
-def _primitive_program(kind: str, n: int, group):
-    """SPMD program running one building-block primitive on ``group``."""
-    from ..core.context import CollContext
-    from ..core.partition import partition_sizes
-    from ..core.primitives_long import (bucket_collect,
-                                        bucket_reduce_scatter)
-    from ..core.primitives_short import (mst_bcast, mst_gather, mst_reduce,
-                                         mst_scatter)
-
-    def prog(env):
-        g = list(group) if group is not None else list(range(env.nranks))
-        if env.rank not in g:
-            return None
-        ctx = CollContext(env, group)
-        me = ctx.require_member()
-        p = ctx.size
-        sizes = partition_sizes(n, p)
-        if kind == "mst_bcast":
-            buf = np.arange(n, dtype=np.float64) if me == 0 else None
-            yield from mst_bcast(ctx, buf, root=0)
-        elif kind == "mst_reduce":
-            yield from mst_reduce(ctx, np.arange(n, dtype=np.float64) + me,
-                                  op="sum", root=0)
-        elif kind == "mst_scatter":
-            buf = np.arange(n, dtype=np.float64) if me == 0 else None
-            yield from mst_scatter(ctx, buf, root=0, sizes=sizes)
-        elif kind == "mst_gather":
-            yield from mst_gather(ctx, np.full(sizes[me], float(me)),
-                                  root=0, sizes=sizes)
-        elif kind == "bucket_collect":
-            yield from bucket_collect(ctx, np.full(sizes[me], float(me)),
-                                      sizes=sizes)
-        elif kind == "bucket_reduce_scatter":
-            yield from bucket_reduce_scatter(
-                ctx, np.arange(n, dtype=np.float64) + me, op="sum",
-                sizes=sizes)
-        else:
-            raise KeyError(f"unknown building-block primitive {kind!r}")
-        return None
-    return prog
-
-
-def run_block_primitive(kind: str, p: int, params=None, n: int = 240,
-                        topology=None, group=None):
-    """Run one building-block primitive metered + traced; returns the
-    :class:`~repro.sim.machine.RunResult`.  Callers that need to
-    correlate flows with routes should build the topology themselves
-    and pass it both here and to :func:`contended_channels`.
-    """
-    from ..sim.machine import Machine
+def run_block_primitive(case, algorithm, params=None):
+    """Run a collective case's shared program (:func:`repro.chaos
+    .oracles.make_program`) metered + traced on ``case.topology()``;
+    returns the :class:`~repro.sim.machine.RunResult`."""
+    from ..chaos.oracles import make_program
     from ..core.params import UNIT
-    from ..core.topology import LinearArray
-    if topology is None:
-        topology = LinearArray(p)
-    machine = Machine(topology, params if params is not None else UNIT)
-    return machine.run(_primitive_program(kind, n, group),
-                       trace=True, metrics=True)
+    from ..sim.machine import Machine
+    machine = Machine(case.topology(),
+                      params if params is not None else UNIT)
+    return machine.run(make_program(case, algorithm), trace=True,
+                       metrics=True)
 
 
-def verify_building_blocks(p: int, params=None, n: int = 240,
-                           topology=None, group=None
+def verify_building_blocks(topo, params=None, n: int = 240, group=None
                            ) -> Dict[str, ConflictVerdict]:
-    """Check all four building blocks for zero channel sharing.
+    """Check all four building blocks for zero channel sharing and
+    correct payloads.
 
-    Runs each primitive on its own machine (``LinearArray(p)`` by
-    default — the paper's aligned case; pass a mesh topology plus a
-    row/column/submesh ``group`` for the mesh-aligned claim) and
-    returns one :class:`ConflictVerdict` per block.  A block backed by
-    two primitives (MST bcast/combine, scatter/gather) is ``ok`` only
-    if both runs are conflict-free.
+    ``topo`` is a topology description such as ``("linear", 7)`` — the
+    paper's aligned case — or ``("mesh", 4, 5)`` plus a row/column/
+    submesh ``group`` for the mesh-aligned claim.  Every case of
+    :data:`BUILDING_BLOCKS` runs on its own machine and is checked
+    against :func:`repro.chaos.oracles.expected_results`; a block is
+    ``ok`` only if all its runs are conflict-free and correct.
     """
-    from ..core.topology import LinearArray
+    from ..chaos.generator import ChaosCase, build_topology
+    from ..chaos.oracles import mismatched_ranks
+    topology = build_topology(topo)
     verdicts: Dict[str, ConflictVerdict] = {}
-    for block, kinds in BUILDING_BLOCKS.items():
+    for block, cases in BUILDING_BLOCKS.items():
         contended: List[ChannelShare] = []
+        wrong = set()
         messages = 0
-        topo = topology if topology is not None else LinearArray(p)
-        for kind in kinds:
-            run = run_block_primitive(kind, p, params=params, n=n,
-                                      topology=topo, group=group)
+        for op, algorithm in cases:
+            case = ChaosCase(topo=topo, params="", op=op, n=n,
+                             dtype="float64", group=group, profile="none")
+            run = run_block_primitive(case, algorithm, params)
             messages += run.messages
-            contended.extend(contended_channels(run, topo))
+            contended.extend(contended_channels(run, topology))
+            wrong.update(mismatched_ranks(case, run.results))
         verdicts[block] = ConflictVerdict(
-            block=block, p=p, topology=repr(topo),
-            ok=not contended, contended=tuple(contended),
-            messages=messages)
+            block=block, p=len(case.members()), topology=repr(topology),
+            ok=not contended and not wrong, contended=tuple(contended),
+            messages=messages, wrong_ranks=tuple(sorted(wrong)))
     return verdicts
 
 
@@ -542,9 +516,11 @@ class DriftReport:
 
 
 def _rel_err(fit: float, configured: float) -> float:
-    if configured > 0:
-        return (fit - configured) / configured
-    return 0.0 if fit == 0.0 else math.nan
+    """Signed ``(fit - configured) / configured``; NaN when only the
+    configured value is zero."""
+    if configured == 0:
+        return 0.0 if fit == 0 else math.nan
+    return (fit - configured) / configured
 
 
 def fit_drift(messages, params) -> DriftReport:

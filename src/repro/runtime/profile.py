@@ -66,9 +66,10 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..analysis.calibrate import (aggregate_trials, fit_alpha_beta,
-                                  trial_spread)
+from ..analysis.calibrate import (TrialSample, aggregate_trials,
+                                  fit_alpha_beta, trial_spread)
 from ..core.params import MachineParams
+from ..obs.audit import _rel_err
 
 PROFILE_VERSION = 1
 
@@ -344,23 +345,15 @@ def _probe(machine, make_prog, lengths: Sequence[int], reps: int,
         for _ in range(trials):
             res = machine.run(make_prog(nbytes, reps))
             raw.append(max(t for t in res.results if t is not None))
-        samples.append({
-            "nbytes": int(nbytes),
-            "value": aggregate_trials(raw, aggregate),
-            "trials": [float(t) for t in raw],
-            "spread": trial_spread(raw),
-        })
+        samples.append(TrialSample(
+            nbytes=int(nbytes), value=aggregate_trials(raw, aggregate),
+            trials=tuple(float(t) for t in raw),
+            spread=trial_spread(raw)).to_json())
     return samples
 
 
 def _fit(samples: Sequence[dict]) -> Tuple[float, float]:
     return fit_alpha_beta([(s["nbytes"], s["value"]) for s in samples])
-
-
-def _rel_err(fit: float, configured: float) -> float:
-    if configured == 0:
-        return 0.0 if fit == 0 else float("nan")
-    return (fit - configured) / configured
 
 
 def calibrate_runtime(transport: str = "local",

@@ -8,7 +8,8 @@ from repro.chaos import (FATAL_VERDICTS, FINDING_VERDICTS, VERDICTS,
 from repro.chaos.generator import ChaosCase
 from repro.chaos.minimize import plant_case
 from repro.chaos.oracles import (case_vec, clean_run, expected_results,
-                                 make_program, payload_matches)
+                                 make_program, mismatched_ranks,
+                                 payload_matches)
 from repro.sim import Machine, preset
 
 
@@ -48,6 +49,28 @@ class TestOracles:
         for rank in (1, 3, 5):
             assert payload_matches("allreduce", "float64",
                                    results[rank], oracle[rank])
+
+    @pytest.mark.parametrize("op", ["scatter", "gather"])
+    @pytest.mark.parametrize("topo,group", [
+        (("linear", 7), None),
+        (("mesh", 4, 5), None),
+        (("mesh", 4, 5), (2, 7, 12, 17)),      # the middle column
+    ])
+    def test_scatter_gather_match_oracle(self, op, topo, group):
+        case = _case(op=op, topo=topo, group=group, n=37, dtype="int32")
+        _, results = clean_run(case)
+        assert mismatched_ranks(case, results) == []
+        oracle = expected_results(case)
+        members = case.members()
+        if op == "scatter":
+            assert np.array_equal(
+                np.concatenate([oracle[r] for r in members]),
+                case_vec(0, 37, "int32"))
+        else:
+            assert len(oracle[members[0]]) == 37
+            assert all(oracle[r] is None for r in members[1:])
+        assert all(oracle[r] is None and results[r] is None
+                   for r in range(case.nranks) if r not in members)
 
     def test_case_vec_small_and_deterministic(self):
         v = case_vec(5, 256, "int32")

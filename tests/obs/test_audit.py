@@ -12,7 +12,14 @@ from repro.obs.audit import (BUILDING_BLOCKS, ChannelShare, ConflictVerdict,
                              audit_run, contended_channels, drift_from_runs,
                              fit_drift, predicted_terms, run_block_primitive,
                              verify_building_blocks)
-from repro.sim import LinearArray, Machine, Mesh2D, PARAGON, UNIT
+from repro.chaos.generator import ChaosCase
+from repro.sim import LinearArray, Machine, PARAGON, UNIT
+
+
+def _case(op, p, n):
+    """A fault-free float64 ``op`` case over a ``p``-node linear array."""
+    return ChaosCase(topo=("linear", p), params="", op=op, n=n,
+                     dtype="float64", group=None, profile="none")
 
 
 def _auto_program(n_bcast=4096, n_allreduce=512):
@@ -160,7 +167,7 @@ class TestConflictFreedomVerifier:
     def test_all_four_blocks_conflict_free_on_linear_array(self, p):
         # p=7: non-power-of-two — the MST recursions and the ring wrap
         # are exactly where it could go wrong
-        verdicts = verify_building_blocks(p, params=UNIT)
+        verdicts = verify_building_blocks(("linear", p), params=UNIT)
         assert sorted(verdicts) == sorted(BUILDING_BLOCKS)
         for v in verdicts.values():
             assert v.ok, str(v)
@@ -170,13 +177,12 @@ class TestConflictFreedomVerifier:
 
     @pytest.mark.parametrize("group_kind", ["row", "col"])
     def test_blocks_conflict_free_on_aligned_mesh_group(self, group_kind):
-        topo = Mesh2D(4, 5)
         if group_kind == "row":
             group = [1 * 5 + c for c in range(5)]
         else:
             group = [r * 5 + 2 for r in range(4)]
-        verdicts = verify_building_blocks(len(group), params=UNIT,
-                                          topology=topo, group=group)
+        verdicts = verify_building_blocks(("mesh", 4, 5), params=UNIT,
+                                          group=group)
         assert all(v.ok for v in verdicts.values())
 
     def test_contention_detected_with_flows(self):
@@ -198,8 +204,38 @@ class TestConflictFreedomVerifier:
             assert s.max_concurrent == 2
             assert {(f.src, f.dst) for f in s.flows} == {(0, 3), (1, 3)}
 
+    def test_wrong_payload_fails_the_block_and_the_check(self,
+                                                          monkeypatch):
+        # a conflict-free but wrong bucket collect: same messages, every
+        # delivered vector off by one
+        from repro.analysis.audit import check
+        from repro.core import hybrid
+        real = hybrid.bucket_collect
+
+        def broken(*args, **kwargs):
+            out = yield from real(*args, **kwargs)
+            return out + 1
+        monkeypatch.setattr(hybrid, "bucket_collect", broken)
+        verdicts = verify_building_blocks(("linear", 7), params=UNIT)
+        bad = verdicts.pop("bucket_collect")
+        assert not bad.ok and bad.contended == ()
+        assert bad.wrong_ranks == tuple(range(7))
+        assert "WRONG payloads" in str(bad)
+        assert bad.to_json()["wrong_ranks"] == list(range(7))
+        assert all(v.ok for v in verdicts.values())
+        assert all("wrong_ranks" not in v.to_json()
+                   for v in verdicts.values())
+        report = {"regret": {"count": 1, "median": 1.0},
+                  "conflict_freedom": [bad.to_json()]}
+        failures = check(report)
+        assert len(failures) == 1
+        assert "bucket_collect p=7" in failures[0]
+        assert "wrong payloads on ranks [0, 1, 2, 3, 4, 5, 6]" \
+            in failures[0]
+
     def test_verdict_serialization(self):
-        v = verify_building_blocks(7, params=UNIT)["bucket_collect"]
+        v = verify_building_blocks(("linear", 7),
+                                   params=UNIT)["bucket_collect"]
         blob = v.to_json()
         assert blob["ok"] is True and blob["block"] == "bucket_collect"
         assert "conflict-free" in str(v)
@@ -218,8 +254,9 @@ def _noop(env):
 
 class TestDriftDetection:
     def test_zero_drift_on_conflict_free_traffic(self):
-        runs = [run_block_primitive(kind, 8, params=PARAGON, n=n)
-                for kind in ("mst_bcast", "bucket_collect")
+        runs = [run_block_primitive(_case(op, 8, n), algorithm, PARAGON)
+                for op, algorithm in (("bcast", "short"),
+                                      ("collect", "long"))
                 for n in (64, 512, 4096)]
         d = drift_from_runs(runs, PARAGON)
         assert d.alpha_fit == pytest.approx(PARAGON.alpha, rel=1e-6)
@@ -230,7 +267,7 @@ class TestDriftDetection:
     def test_misconfigured_params_show_drift(self):
         # simulate under PARAGON, but claim the machine is 2x faster:
         # the fit must expose the divergence
-        runs = [run_block_primitive("mst_bcast", 8, params=PARAGON, n=n)
+        runs = [run_block_primitive(_case("bcast", 8, n), "short", PARAGON)
                 for n in (64, 4096)]
         wrong = PARAGON.with_(alpha=PARAGON.alpha / 2,
                               beta=PARAGON.beta / 2)
@@ -240,7 +277,7 @@ class TestDriftDetection:
         assert d.max_abs_rel_err == pytest.approx(1.0, rel=1e-6)
 
     def test_needs_two_distinct_lengths(self):
-        runs = [run_block_primitive("mst_bcast", 4, params=UNIT, n=64)]
+        runs = [run_block_primitive(_case("bcast", 4, 64), "short", UNIT)]
         msgs = runs[0].trace.completed()
         same = [m for m in msgs if m.nbytes == msgs[0].nbytes]
         with pytest.raises(ValueError, match="two distinct"):
@@ -248,7 +285,7 @@ class TestDriftDetection:
 
     def test_json_round_trip(self):
         import json
-        runs = [run_block_primitive("mst_bcast", 4, params=UNIT, n=n)
+        runs = [run_block_primitive(_case("bcast", 4, n), "short", UNIT)
                 for n in (32, 256)]
         d = drift_from_runs(runs, UNIT)
         blob = json.loads(json.dumps(d.to_json()))
