@@ -42,8 +42,9 @@ A third experiment rides along since runtime tracing landed: every
 collective is re-measured with ``trace=True`` (the ``wall_s_traced``
 column), and a dedicated two-rank ping-pong compares traced vs
 untraced round trips (min over interleaved trials — the robust
-statistic for an overhead comparison).  ``--check`` additionally gates
-that ping-pong trace overhead below 10%: observability must stay
+statistic for an overhead comparison), pinned to one CPU and reported
+next to the untraced trials' own A/A spread.  ``--check`` additionally
+gates that ping-pong trace overhead below 10%: observability must stay
 passive.
 """
 
@@ -154,17 +155,30 @@ def measure_trace_overhead(machine, reps, trials,
     an overhead question: minima discard scheduler interference, and
     instrumentation cost is a strict per-event addition that survives
     in the minimum.
+
+    Both ranks run pinned to one CPU, as ``perfbench/run.py`` pins its
+    runs: on two vCPUs of a shared host, ranks wait on the host to wake
+    each other, and that wait swings more than the collector costs.
+    ``aa_spread`` is the untraced runs against themselves (min of the
+    odd trials over min of the even ones, minus one): an ``overhead``
+    no larger than it has not resolved.
     """
     def once(trace: bool) -> float:
         res = machine.run(_timed_pingpong_prog(nbytes, reps),
                           trace=trace)
         return max(t for t in res.results if t is not None)
 
-    once(False)                      # warm up forks, pipes, imports
-    untraced, traced = [], []
-    for _ in range(trials):
-        untraced.append(once(False))
-        traced.append(once(True))
+    # rank processes are forked per run and inherit the pinning
+    affinity = os.sched_getaffinity(0)
+    os.sched_setaffinity(0, {min(affinity)})
+    try:
+        once(False)                  # warm up forks, pipes, imports
+        untraced, traced = [], []
+        for _ in range(trials):
+            untraced.append(once(False))
+            traced.append(once(True))
+    finally:
+        os.sched_setaffinity(0, affinity)
     best_untraced, best_traced = min(untraced), min(traced)
     return {
         "nbytes": nbytes,
@@ -175,6 +189,7 @@ def measure_trace_overhead(machine, reps, trials,
         "untraced_trials": [float(t) for t in untraced],
         "traced_trials": [float(t) for t in traced],
         "overhead": best_traced / best_untraced - 1.0,
+        "aa_spread": min(untraced[1::2]) / min(untraced[0::2]) - 1.0,
         "gate": TRACE_OVERHEAD_GATE,
     }
 
@@ -258,7 +273,8 @@ def main(argv=None) -> int:
     print(f"  untraced {trace_overhead['untraced_s'] * 1e6:.1f} us, "
           f"traced {trace_overhead['traced_s'] * 1e6:.1f} us per round "
           f"trip -> overhead {trace_overhead['overhead'] * 100:+.1f}% "
-          f"(gate < {TRACE_OVERHEAD_GATE * 100:.0f}%)")
+          f"(gate < {TRACE_OVERHEAD_GATE * 100:.0f}%; untraced A/A "
+          f"spread {trace_overhead['aa_spread'] * 100:+.1f}%)")
 
     report = {
         "meta": {

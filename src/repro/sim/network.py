@@ -55,6 +55,19 @@ that path cheap:
   heap operations per round plus one update per route occurrence, not
   rounds x resources.  The pick and the arithmetic are the textbook
   scan's exactly.
+* **Fill memo.**  The building blocks and hybrids are data-independent
+  step patterns, so a bucket or ring phase hands the network the same
+  component at every step.  ``_fill_memo`` maps a component's routes, in
+  discovery order, to the rates ``_fill`` gave it; a repeat costs the
+  component walk and one dict lookup.  The memo is exact because
+  ``_fill`` is a pure function of two inputs.  The first is the routes
+  in component order, which fix first-seen positions and so bottleneck
+  tie-breaks; the order of ``_res_flows`` does not matter, since every
+  flow fixed in one round drains the same share.  The second is the
+  resource capacities, which are fixed per rid except in
+  :meth:`FluidNetwork.apply_slowdown`, which clears the memo (a channel
+  born degraded gets a new rid).  The memo lives and dies with the
+  network, that is with one ``Machine.run``.
 * **Completion-event elision.**  A recomputation that leaves a flow's
   predicted finish time bit-identical (the common case when several
   flows start at one timestamp) keeps the already-scheduled completion
@@ -211,6 +224,9 @@ class FluidNetwork:
         #: (src, dst) -> tuple of interned resource ids
         self._route_cache: Dict[Tuple[int, int], Tuple[int, ...]] = {}
         self._active: Dict[Flow, None] = {}
+        #: component routes in discovery order -> the rates _fill gives
+        #: them; exact while capacities hold, so apply_slowdown clears it
+        self._fill_memo: Dict[tuple, Tuple[float, ...]] = {}
         #: statistics
         self.flows_started = 0
         self.bytes_carried = 0.0
@@ -344,6 +360,7 @@ class FluidNetwork:
             return  # not interned yet; _intern will pick up fs.slow
         self._res_cap[rid] = (self._chan_cap if factor is None
                               else self._chan_cap / factor)
+        self._fill_memo.clear()
         flows = self._res_flows[rid]
         if flows:
             # Any flow on the channel seeds the component walk; the walk
@@ -381,19 +398,22 @@ class FluidNetwork:
             self._recompute_component(f, now)
         return victims
 
-    def _component(self, seed: Flow) -> List[Flow]:
-        """All active flows transitively sharing a resource with ``seed``.
+    def _component(self, seed: Flow) -> Tuple[List[Flow], tuple]:
+        """All active flows transitively sharing a resource with ``seed``,
+        and their routes as the component's fill-memo key.
 
         When the seed has just been removed from the network, the
         component is seeded from its route's resources so that the flows
         it was sharing with get their rates raised.  Flows are returned
-        in deterministic discovery order.
+        in deterministic discovery order, and the key lists their routes
+        in that order.
         """
         self._stamp += 1
         stamp = self._stamp
         rstamp = self._bfs_rstamp
         res_flows = self._res_flows
         comp: List[Flow] = []
+        routes: List[Tuple[int, ...]] = []
         flow_stack: List[Flow] = []
         if seed in self._active:
             seed._cstamp = stamp
@@ -403,6 +423,7 @@ class FluidNetwork:
             if flow_stack:
                 f = flow_stack.pop()
                 comp.append(f)
+                routes.append(f.route)
                 for rid in f.route:
                     if rstamp[rid] != stamp:
                         res_stack.append(rid)
@@ -415,7 +436,7 @@ class FluidNetwork:
                     if f._cstamp != stamp:
                         f._cstamp = stamp
                         flow_stack.append(f)
-        return comp
+        return comp, tuple(routes)
 
     def _recompute_component(self, seed: Flow, now: float) -> None:
         """Re-run water-filling for the component touched by ``seed``."""
@@ -441,7 +462,7 @@ class FluidNetwork:
                 seed.rate = rate
                 self._reschedule(seed, now)
                 return
-            comp = self._component(seed)
+            comp, key = self._component(seed)
         else:
             # Fast path: the seed has just been removed and none of its
             # resources carry another flow — nothing to recompute.
@@ -450,7 +471,7 @@ class FluidNetwork:
                     break
             else:
                 return
-            comp = self._component(seed)
+            comp, key = self._component(seed)
             if not comp:
                 return
         self.rate_recomputations += 1
@@ -460,8 +481,15 @@ class FluidNetwork:
 
         # Progressive filling (max-min fairness).  Only the resources
         # used by component flows matter; by construction no flow
-        # outside the component crosses them.
-        self._fill(comp)
+        # outside the component crosses them.  A component whose
+        # ordered routes were filled before gets the same rates back.
+        rates = self._fill_memo.get(key)
+        if rates is None:
+            self._fill(comp)
+            self._fill_memo[key] = tuple([f.rate for f in comp])
+        else:
+            for f, rate in zip(comp, rates):
+                f.rate = rate
 
         # Reschedule completion events at the new rates.
         for f in comp:

@@ -16,8 +16,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core import api
 from repro.sim import (FullyConnected, Hypercube, LinearArray, Machine,
-                       Mesh2D, MachineParams, Torus2D, UNIT)
+                       Mesh2D, MachineParams, PARAGON, Torus2D, UNIT)
+from repro.sim.faults import FaultSchedule, FaultState
 from repro.sim.network import _EPS_BYTES, Flow, FluidNetwork
 
 
@@ -478,7 +480,7 @@ def _components(net, flows):
     seen = set()
     for f in flows:
         if f not in seen:
-            comp = net._component(f)
+            comp, _ = net._component(f)
             seen.update(comp)
             yield comp
 
@@ -547,3 +549,172 @@ class TestFillMatchesReferenceScan:
             if found >= 10:
                 break
         assert found >= 10
+
+
+def _counted_fills(net):
+    """Record every call the network makes into ``_fill``: a rerate
+    that makes none took its rates from the fill memo."""
+    calls = []
+    fill = net._fill
+
+    def counted(comp):
+        calls.append(len(comp))
+        fill(comp)
+    net._fill = counted
+    return calls
+
+
+def _restart(net, flows):
+    """The same pattern again with fresh flows: abort every flow, then
+    start one per (src, dst) pair, in the order given."""
+    net._abort(list(flows), 0.0)
+    return [net.start_flow(f.src, f.dst, 500.0, 0.0, object())
+            for f in flows]
+
+
+def _shared(net, flows):
+    """The components of ``flows`` that go through the fill (singletons
+    take the fast path)."""
+    return [c for c in _components(net, flows) if len(c) > 1]
+
+
+class TestFillMemoIsExact:
+    """A component whose ordered routes were filled before gets rates
+    ``==`` to a fresh fill's, and a capacity change is never papered
+    over by an older entry."""
+
+    def test_miss_then_hit_match_reference_scan(self):
+        zero = ties = hits = 0
+        for seed in range(150):
+            for load in (_random_load, _fan_out_load):
+                net, flows = load(seed)
+                fills = _counted_fills(net)
+                comps = _shared(net, flows)
+                expected = [_reference_fill(net, c) for c in comps]
+                net._fill_memo.clear()
+                for comp, (rates, shares, tied) in zip(comps, expected):
+                    net._recompute_component(comp[0], 0.0)
+                    assert [f.rate for f in comp] == rates
+                    zero += 0.0 in shares
+                    ties += tied
+                assert len(fills) == len(comps)  # every one a miss
+
+                again = _shared(net, _restart(net, flows))
+                assert ([[(f.src, f.dst) for f in c] for c in again]
+                        == [[(f.src, f.dst) for f in c] for c in comps])
+                for f in itertools.chain(*again):
+                    f.rate = math.nan
+                n = len(fills)
+                for comp, (rates, _, _) in zip(again, expected):
+                    net._recompute_component(comp[0], 0.0)
+                    assert [f.rate for f in comp] == rates
+                assert len(fills) == n  # every one a hit
+                hits += len(again)
+
+                # the same routes discovered in another order are another
+                # key: their rates follow their own first-seen positions
+                for comp in _shared(net, _restart(net, flows[::-1])):
+                    rates, _, _ = _reference_fill(net, comp)
+                    net._recompute_component(comp[0], 0.0)
+                    assert [f.rate for f in comp] == rates
+        assert zero and ties and hits
+
+    def test_slowdown_between_two_identical_patterns(self):
+        net = bare_network(FullyConnected(4))
+        first = [net.start_flow(s, 3, 500.0, 0.0, object()) for s in (0, 1)]
+        assert [f.rate for f in first] == [0.5, 0.5]
+        net._abort(first, 0.0)
+        # no flow crosses the channel now, so nothing is rerated here;
+        # the next identical pattern must still see the new capacity
+        net.apply_slowdown(0, 3, 4.0, 0.0)
+        second = [net.start_flow(s, 3, 500.0, 0.0, object())
+                  for s in (0, 1)]
+        assert [f.rate for f in second] == [0.25, 0.75]
+
+    def test_channel_born_degraded_never_reuses_a_full_capacity_entry(self):
+        fs = FaultState(FaultSchedule())
+        net = FluidNetwork(FullyConnected(6), UNIT,
+                           schedule=lambda t, cb: None,
+                           complete=lambda token, t: None, faults=fs)
+        full = [net.start_flow(s, 2, 500.0, 0.0, object()) for s in (0, 1)]
+        assert [f.rate for f in full] == [0.5, 0.5]
+        # channel (3, 5) is slowed before its first use: apply_slowdown
+        # has no rid to touch, and the channel is interned degraded
+        fs.slow[(3, 5)] = 4.0
+        net.apply_slowdown(3, 5, 4.0, 0.0)
+        assert net._fill_memo
+        slow = [net.start_flow(s, 5, 500.0, 0.0, object()) for s in (3, 4)]
+        assert [f.rate for f in slow] == [0.25, 0.75]
+        assert [f.rate for f in _restart(net, full)] == [0.5, 0.5]
+
+
+_CELLS = [(op, nbytes) for nbytes in (4096, 65536)
+          for op in ("bcast", "allreduce", "collect", "reduce_scatter")]
+
+
+def _cell_program(env, op, n):
+    """One ``sim_linear``-shaped cell: an auto-dispatched collective of
+    ``n`` doubles (``collect``: ``n`` in all)."""
+    x = np.arange(n, dtype=np.float64) + env.rank
+    if op == "bcast":
+        return (yield from api.bcast(env, x if env.rank == 0 else None,
+                                     root=0, total=n))
+    if op == "allreduce":
+        return (yield from api.allreduce(env, x))
+    if op == "collect":
+        return (yield from api.collect(env, x[:n // env.nranks]))
+    return (yield from api.reduce_scatter(env, x))
+
+
+class TestFillMemoIsPerNetwork:
+    """The memo lives and dies with one run's network: no cell depends
+    on what the machine ran before it."""
+
+    @staticmethod
+    def _signatures(machine, cells):
+        out = {}
+        for op, nbytes in cells:
+            run = machine.run(_cell_program, op, nbytes // 8)
+            out[op, nbytes] = (repr(run.time), run.messages, run.events,
+                               run.flows, run.rate_recomputations)
+        return out
+
+    def test_cell_counters_do_not_depend_on_run_order(self, monkeypatch):
+        rerates = fills = 0
+        component, fill = FluidNetwork._component, FluidNetwork._fill
+
+        def counted_component(net, seed):
+            nonlocal rerates
+            comp, key = component(net, seed)
+            rerates += bool(comp)
+            return comp, key
+
+        def counted_fill(net, comp):
+            nonlocal fills
+            fills += 1
+            fill(net, comp)
+        monkeypatch.setattr(FluidNetwork, "_component", counted_component)
+        monkeypatch.setattr(FluidNetwork, "_fill", counted_fill)
+        machine = Machine(LinearArray(16), PARAGON)
+        forward = self._signatures(machine, _CELLS)
+        assert self._signatures(machine, _CELLS[::-1]) == forward
+        # over a quarter of these cells' shared-component rerates are
+        # memo hits, so the order test does exercise the memo
+        assert 4 * (rerates - fills) > rerates
+
+    def test_each_run_starts_with_an_empty_memo(self):
+        sizes = []
+
+        def prog(env):
+            memo = env.engine.network._fill_memo
+            if env.rank == 0:
+                sizes.append(len(memo))
+            yield from _cell_program(env, "allreduce", 512)
+            if env.rank == 0:
+                sizes.append(len(memo))
+
+        machine = Machine(LinearArray(16), PARAGON)
+        machine.run(prog)
+        machine.run(prog)
+        assert sizes[0] == sizes[2] == 0
+        assert sizes[1] > 0 and sizes[3] > 0
