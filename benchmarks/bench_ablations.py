@@ -111,7 +111,7 @@ class TestLinkCapacityAblation:
 
         t = once(lambda: machine.run(prog).time)
         cm_free = CostModel(params.with_(link_capacity=1e9), itemsize=8)
-        floor = cm_free.hybrid_bcast(s, n, conflicts=[1.0, 1.0])
+        floor = cm_free.hybrid("bcast", s, n, conflicts=[1.0, 1.0])
         if capacity >= 2.0:
             assert t == pytest.approx(floor, rel=0.02)
         else:

@@ -99,7 +99,7 @@ def test_fig1_step_schedule(once, results_dir, report):
     # with the bold conflict factors — exactly.
     from repro.core import CostModel
     cm = CostModel(UNIT, itemsize=8)
-    assert run.time == pytest.approx(cm.hybrid_bcast(STRATEGY, N))
+    assert run.time == pytest.approx(cm.hybrid("bcast", STRATEGY, N))
 
 
 def test_fig1_piece_sizes_shrink_then_grow(once):

@@ -36,7 +36,7 @@ def predict():
     for s in STRATEGIES:
         ser = Series(str(s))
         for nbytes in LENGTHS:
-            ser.add(nbytes, cm.hybrid_bcast(s, nbytes))
+            ser.add(nbytes, cm.hybrid("bcast", s, nbytes))
         series.append(ser)
     sel = Selector(PARAGON.with_(link_capacity=1.0), itemsize=1)
     best = Series("best (selector)")

@@ -20,7 +20,6 @@ import pytest
 
 from repro.analysis import format_table, write_csv
 from repro.core import api, classify
-from repro.core.mesh2d import submesh_group
 from repro.sim import Machine, Mesh2D, PARAGON
 
 MESH = Mesh2D(16, 32)
@@ -41,7 +40,7 @@ def group_program(env, group):
 def make_groups():
     rng = np.random.default_rng(1994)
     row = MESH.row_nodes(5)
-    sub = submesh_group(MESH, 4, 8, 8, 8)
+    sub = MESH.submesh_nodes(4, 8, 8, 8)
     scattered = sorted(rng.choice(512, size=64, replace=False).tolist())
     return {
         "physical row (32)": row,

@@ -10,8 +10,7 @@ import os
 import pytest
 
 from repro.analysis import format_table, write_csv
-from repro.core import CostModel, Strategy
-from repro.core.strategy import smc_candidates
+from repro.core import CostModel, Strategy, candidates
 from repro.sim import MachineParams
 
 #: the machine of Table 2: alpha = beta = 1, no refinements
@@ -34,11 +33,18 @@ PAPER_ROWS = [
 MISPRINT_ROW = ((3, 10), "SMC", 8, 160)
 
 
+def coefficients(cm, strategy):
+    """Table 2's ``(A, B)``: the alpha and beta shares of a one-byte
+    broadcast on the Table 2 machine."""
+    terms = cm.terms("bcast", strategy, 1)
+    return terms["alpha"], terms["beta"]
+
+
 def compute_table():
     cm = CostModel(T2_PARAMS, itemsize=1)
     rows = []
     for dims, ops, _, _ in PAPER_ROWS + [MISPRINT_ROW]:
-        A, B = cm.hybrid_bcast_coefficients(Strategy(dims, ops))
+        A, B = coefficients(cm, Strategy(dims, ops))
         rows.append((dims, ops, A, B * 30))
     return cm, rows
 
@@ -89,8 +95,8 @@ def test_full_candidate_enumeration(once, results_dir, report):
     def enumerate_all():
         cm = CostModel(T2_PARAMS, itemsize=1)
         out = []
-        for s in smc_candidates(30):
-            A, B = cm.hybrid_bcast_coefficients(s)
+        for s in candidates("bcast", 30):
+            A, B = coefficients(cm, s)
             out.append((str(s), A, B * 30))
         return sorted(out, key=lambda r: r[2])
 

@@ -108,8 +108,11 @@ def main(argv=None) -> int:
                          "(only for intentional re-baselining)")
     args = ap.parse_args(argv)
 
-    committed_path = args.output if os.path.exists(args.output) \
-        else DEFAULT_OUTPUT
+    # always the committed report: a stale --output file from an
+    # earlier run must not stand in for it
+    committed_path = DEFAULT_OUTPUT
+    writes_committed = (os.path.abspath(args.output)
+                        == os.path.abspath(DEFAULT_OUTPUT))
 
     baseline = load_baseline()
     grid = GRIDS[args.grid]
@@ -173,15 +176,9 @@ def main(argv=None) -> int:
                else (overheads[mid - 1] + overheads[mid]) / 2)
         report["metrics_overhead_median"] = med
         print(f"metrics overhead median: {med:+.1%}")
-    if args.check:
-        # a checking run must not clobber the committed report it
-        # compared against; write nothing unless asked via --output
-        if args.output != committed_path:
-            with open(args.output, "w") as f:
-                json.dump(report, f, indent=1, sort_keys=True)
-                f.write("\n")
-            print(f"wrote {args.output}")
-    else:
+    # a checking run must not clobber the committed report it compared
+    # against; it writes only to an --output elsewhere
+    if not (args.check and writes_committed):
         with open(args.output, "w") as f:
             json.dump(report, f, indent=1, sort_keys=True)
             f.write("\n")

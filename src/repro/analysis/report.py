@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import csv
 import os
-import sys
 from typing import Dict, List, Optional, Sequence
 
 from ..chaos.generator import OPS
@@ -246,98 +245,91 @@ def trace_main(op: str, p: int, nbytes: int, params_name: str,
     return 0
 
 
-def main(argv: Optional[Sequence[str]] = None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
-    if "--audit" in argv:
-        import argparse
+def _parser():
+    import argparse
 
-        from .audit import GRIDS, RUNTIME_GRIDS
+    from .audit import GRIDS, RUNTIME_GRIDS
+    ap = argparse.ArgumentParser(
+        prog="python -m repro.analysis.report",
+        description="Write the markdown reproduction report from the "
+                    "benchmark artifacts (default), export one "
+                    "instrumented collective as a Chrome trace (--trace), "
+                    "or run the model audit (--audit).")
+    ap.add_argument("results_dir", nargs="?", default="bench_results",
+                    help="benchmark artifacts to report on (report mode)")
+    ap.add_argument("output", nargs="?", default=None,
+                    help="report path (default RESULTS_DIR/REPORT.md)")
+    mode = ap.add_mutually_exclusive_group()
+    mode.add_argument("--audit", action="store_true",
+                      help="run the model audit: selection regret, "
+                           "conflict-freedom, alpha/beta drift.  With "
+                           "--backend runtime, every ranked candidate is "
+                           "executed over real OS processes under this "
+                           "host's fitted calibration profile "
+                           "(AUDIT_runtime.json)")
+    mode.add_argument("--trace", metavar="OP", choices=TRACE_OPS,
+                      help="export one instrumented run of collective OP "
+                           "as a Chrome trace")
+    ap.add_argument("--backend", choices=("sim", "runtime"), default="sim",
+                    help="simulator (default) or real processes: the "
+                         "audit then prices with the fitted per-host "
+                         "profile, the trace aligns wall clocks across "
+                         "ranks")
+    ap.add_argument("--params", default=None,
+                    help="machine parameter preset on the simulator "
+                         "(default paragon)")
+    ap.add_argument("--transport", choices=("local", "tcp"),
+                    default="local", help="runtime-backend transport")
+    ap.add_argument("--out", default=None,
+                    help="output JSON path (default AUDIT_model.json / "
+                         "AUDIT_runtime.json, or OP.trace.json)")
+    audit = ap.add_argument_group("--audit options")
+    audit.add_argument("--grid",
+                       choices=sorted(set(GRIDS) | set(RUNTIME_GRIDS)),
+                       default="smoke")
+    audit.add_argument("--check", action="store_true",
+                       help="exit nonzero on violated conflict-freedom "
+                            "or median regret above the gate")
+    audit.add_argument("--quiet", action="store_true",
+                       help="suppress per-cell progress lines")
+    audit.add_argument("--workers", type=int, default=None,
+                       help="shard the regret sweep across this many "
+                            "processes (sim backend; deterministic "
+                            "merge; default serial)")
+    audit.add_argument("--reps", type=int, default=3,
+                       help="collective repetitions per timed run "
+                            "(runtime backend)")
+    audit.add_argument("--trials", type=int, default=3,
+                       help="repeated timed runs per candidate "
+                            "(runtime backend)")
+    trace = ap.add_argument_group("--trace options")
+    trace.add_argument("--p", type=int, default=30, help="group size")
+    trace.add_argument("--bytes", type=int, default=8192, dest="nbytes",
+                       help="vector size in bytes")
+    trace.add_argument("--algorithm", default="auto")
+    trace.add_argument("--timescale", type=float, default=1e6,
+                       help="traced seconds -> trace microseconds")
+    return ap
+
+
+def main(argv: Optional[Sequence[str]] = None) -> int:
+    ns = _parser().parse_args(argv)
+    if ns.audit:
         from .audit import main as audit_main
-        ap = argparse.ArgumentParser(
-            prog="python -m repro.analysis.report",
-            description="run the model audit: selection regret, "
-                        "conflict-freedom, alpha/beta drift.  With "
-                        "--backend runtime, every ranked candidate is "
-                        "executed over real OS processes under this "
-                        "host's fitted calibration profile "
-                        "(AUDIT_runtime.json)")
-        ap.add_argument("--audit", action="store_true", required=True)
-        ap.add_argument("--backend", choices=("sim", "runtime"),
-                        default="sim",
-                        help="measure candidates on the simulator "
-                             "(default) or on real processes under the "
-                             "fitted per-host profile")
-        ap.add_argument("--grid",
-                        choices=sorted(set(GRIDS) | set(RUNTIME_GRIDS)),
-                        default="smoke")
-        ap.add_argument("--params", default="paragon",
-                        help="machine parameter preset (sim backend; "
-                             "the runtime backend always prices with "
-                             "the fitted profile)")
-        ap.add_argument("--transport", choices=("local", "tcp"),
-                        default="local",
-                        help="runtime-backend transport")
-        ap.add_argument("--out", default=None,
-                        help="output JSON artifact path (default "
-                             "AUDIT_model.json / AUDIT_runtime.json)")
-        ap.add_argument("--check", action="store_true",
-                        help="exit nonzero on violated conflict-freedom "
-                             "or median regret above the gate")
-        ap.add_argument("--quiet", action="store_true",
-                        help="suppress per-cell progress lines")
-        ap.add_argument("--workers", type=int, default=None,
-                        help="shard the regret sweep across this many "
-                             "processes (sim backend; deterministic "
-                             "merge; default serial)")
-        ap.add_argument("--reps", type=int, default=3,
-                        help="collective repetitions per timed run "
-                             "(runtime backend)")
-        ap.add_argument("--trials", type=int, default=3,
-                        help="repeated timed runs per candidate "
-                             "(runtime backend)")
-        ns = ap.parse_args(argv)
-        return audit_main(ns.grid, ns.params, ns.out, ns.check,
+        return audit_main(ns.grid, ns.params or "paragon", ns.out, ns.check,
                           verbose=not ns.quiet, workers=ns.workers,
                           backend=ns.backend, transport=ns.transport,
                           reps=ns.reps, trials=ns.trials)
-    if "--trace" in argv:
-        import argparse
-        ap = argparse.ArgumentParser(
-            prog="python -m repro.analysis.report",
-            description="export one instrumented collective as a "
-                        "Chrome trace")
-        ap.add_argument("--trace", metavar="OP", choices=TRACE_OPS,
-                        required=True, help="collective to run")
-        ap.add_argument("--backend", choices=("sim", "runtime"),
-                        default="sim",
-                        help="trace the simulator (default) or a real "
-                             "multi-process run with wall clocks "
-                             "aligned across ranks")
-        ap.add_argument("--p", type=int, default=30, help="group size")
-        ap.add_argument("--bytes", type=int, default=8192,
-                        dest="nbytes", help="vector size in bytes")
-        ap.add_argument("--params", default="PARAGON",
-                        help="machine parameter preset (sim backend)")
-        ap.add_argument("--transport", choices=("local", "tcp"),
-                        default="local",
-                        help="runtime-backend transport")
-        ap.add_argument("--algorithm", default="auto")
-        ap.add_argument("--out", default=None,
-                        help="output JSON path (default OP.trace.json)")
-        ap.add_argument("--timescale", type=float, default=1e6,
-                        help="traced seconds -> trace microseconds")
-        ns = ap.parse_args(argv)
+    if ns.trace:
         out = ns.out or f"{ns.trace}.trace.json"
         if ns.backend == "runtime":
             return trace_main_runtime(ns.trace, ns.p, ns.nbytes,
                                       ns.algorithm, out, ns.transport,
                                       ns.timescale)
-        return trace_main(ns.trace, ns.p, ns.nbytes, ns.params,
+        return trace_main(ns.trace, ns.p, ns.nbytes, ns.params or "PARAGON",
                           ns.algorithm, out, ns.timescale)
-    results_dir = argv[0] if argv else "bench_results"
-    out_path = argv[1] if len(argv) > 1 else os.path.join(
-        results_dir, "REPORT.md")
-    text = build_report(results_dir)
+    out_path = ns.output or os.path.join(ns.results_dir, "REPORT.md")
+    text = build_report(ns.results_dir)
     os.makedirs(os.path.dirname(os.path.abspath(out_path)), exist_ok=True)
     with open(out_path, "w") as f:
         f.write(text + "\n")

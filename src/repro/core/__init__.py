@@ -1,6 +1,7 @@
 """The InterCom collective communication library (the paper's
-contribution): building-block primitives, composed algorithms, hybrid
-strategies with cost-model-driven selection, and group collectives.
+contribution): building-block primitives, hybrid strategies (section 5's
+compositions are their one-dimension case) with cost-model-driven
+selection, and group collectives.
 """
 
 from . import api
@@ -15,9 +16,8 @@ from .ops import (BAND, BOR, BXOR, MAX, MIN, PROD, STANDARD_OPS, SUM,
 from .partition import (coarsen, partition_offsets, partition_sizes, split)
 from .plans import Plan, make_plan
 from .selection import Choice, Selector, selector_for
-from .strategy import (Strategy, collect_candidates, mst_strategy,
-                       ordered_factorizations, reduce_scatter_candidates,
-                       scatter_collect_strategy, smc_candidates)
+from .strategy import (Strategy, candidates, family_ops,
+                       ordered_factorizations)
 
 __all__ = [
     "api", "bidirectional_collect", "bidirectional_reduce_scatter",
@@ -28,7 +28,5 @@ __all__ = [
     "CombineOp", "get_op",
     "coarsen", "partition_offsets", "partition_sizes", "split",
     "Choice", "Selector", "selector_for",
-    "Strategy", "collect_candidates", "mst_strategy",
-    "ordered_factorizations", "reduce_scatter_candidates",
-    "scatter_collect_strategy", "smc_candidates",
+    "Strategy", "candidates", "family_ops", "ordered_factorizations",
 ]

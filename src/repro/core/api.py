@@ -22,9 +22,11 @@ Every operation accepts:
     groups get mesh-aware strategies.
 ``algorithm``
     ``"auto"`` (cost-model selection — the library's reason to exist),
-    ``"short"`` (pure short-vector algorithm), ``"long"`` (pure
-    long-vector algorithm), a :class:`~repro.core.strategy.Strategy`,
-    or a parseable strategy string like ``"2x3x5:SSMCC"``.
+    ``"short"`` (section 5's short-vector algorithm, the ``(p, M)``
+    strategy), ``"long"`` (its long-vector algorithm: ``(p, SC)``,
+    ``(p, C)`` for a collect, ``(p, S)`` for a distributed combine), a
+    :class:`~repro.core.strategy.Strategy`, or a parseable strategy
+    string like ``"2x3x5:SSMCC"``.
 ``tag``
     message tag; concurrent collectives on overlapping groups need
     distinct tags.
@@ -44,18 +46,17 @@ from .hybrid import (hybrid_allreduce, hybrid_bcast, hybrid_collect,
                      hybrid_reduce, hybrid_reduce_scatter)
 from .primitives_short import mst_bcast, mst_gather, mst_reduce, mst_scatter
 from .selection import selector_for
-from .strategy import Strategy
+from .strategy import Strategy, family_ops
 
 AlgorithmSpec = Union[str, Strategy]
 
-_SHORT = {
-    "bcast": "M", "reduce": "M", "allreduce": "M",
-    "collect": "M", "reduce_scatter": "M",
-}
-_LONG = {
-    "bcast": "SC", "reduce": "SC", "allreduce": "SC",
-    "collect": "C", "reduce_scatter": "S",
-}
+
+def _composition(operation: str, p: int, regime: str) -> Strategy:
+    """Section 5's ``"short"`` or ``"long"`` algorithm for ``operation``:
+    the one-dimension kernel form ``(p, M)`` or all-long form
+    (``(p, SC)`` / ``(p, C)`` / ``(p, S)``)."""
+    long_ops, kernel_ops = family_ops(operation, 1)
+    return Strategy((p,), kernel_ops if regime == "short" else long_ops)
 
 
 def _context(env, group, tag) -> CollContext:
@@ -129,10 +130,8 @@ def resolve_strategy(ctx: CollContext, operation: str,
     p = ctx.size
     if isinstance(algorithm, Strategy):
         return algorithm
-    if algorithm == "short":
-        return Strategy((p,), _SHORT[operation])
-    if algorithm == "long":
-        return Strategy((p,), _LONG[operation])
+    if algorithm in ("short", "long"):
+        return _composition(operation, p, algorithm)
     if algorithm == "auto":
         params = getattr(ctx.env, "params", None)
         if params is None:
@@ -144,8 +143,7 @@ def resolve_strategy(ctx: CollContext, operation: str,
             regime = ("short" if n * itemsize <= AUTO_FALLBACK_SHORT_NBYTES
                       else "long")
             ctx.annotate_next_op(selector_fallback=regime)
-            return Strategy((p,), (_SHORT if regime == "short"
-                                   else _LONG)[operation])
+            return _composition(operation, p, regime)
         # Degraded-link pricing (docs/robustness.md): when the fault
         # schedule declares link slowdowns, price candidates with the
         # worst declared beta multiplier so the Selector re-ranks for

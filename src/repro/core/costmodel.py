@@ -33,7 +33,7 @@ charge it once.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 from .params import MachineParams
 from .strategy import Strategy
@@ -56,26 +56,22 @@ class CostModel:
         The machine's alpha/beta/gamma/overhead constants.
     itemsize:
         Bytes per vector element (8 for float64 payloads).
-    model_conflicts:
-        When False, all conflict factors are 1 — the idealized model the
-        paper uses for the conflict-free building blocks.
+
+    The idealized conflict-free model the paper uses for the building
+    blocks is :meth:`hybrid` with ``conflicts=[1.0] * k``.
     """
 
     params: MachineParams
     itemsize: int = 8
-    model_conflicts: bool = True
 
     # -- helpers -----------------------------------------------------------
 
     def _beta(self, n: float, factor: float = 1.0) -> float:
-        f = factor if self.model_conflicts else 1.0
-        return n * self.itemsize * self.params.beta * max(1.0, f)
+        return n * self.itemsize * self.params.beta * max(1.0, factor)
 
     def conflict_factor(self, interleaved: float) -> float:
         """Effective beta multiplier when ``interleaved`` lines share
         channels, given the machine's excess link capacity."""
-        if not self.model_conflicts:
-            return 1.0
         return max(1.0, interleaved / self.params.link_capacity)
 
     # -- primitives (section 4) --------------------------------------------
@@ -138,26 +134,6 @@ class CostModel:
         return (rounds * self.params.alpha + self._beta(n * frac, conflict)
                 + n * frac * self.params.gamma + self.params.sw_overhead)
 
-    # -- composed (section 5) -----------------------------------------------
-
-    def short_collect(self, p: int, n: float) -> float:
-        return self.mst_gather(p, n) + self.mst_bcast(p, n)
-
-    def short_reduce_scatter(self, p: int, n: float) -> float:
-        return self.mst_reduce(p, n) + self.mst_scatter(p, n)
-
-    def short_allreduce(self, p: int, n: float) -> float:
-        return self.mst_reduce(p, n) + self.mst_bcast(p, n)
-
-    def long_bcast(self, p: int, n: float) -> float:
-        return self.mst_scatter(p, n) + self.bucket_collect(p, n)
-
-    def long_reduce(self, p: int, n: float) -> float:
-        return self.bucket_reduce_scatter(p, n) + self.mst_gather(p, n)
-
-    def long_allreduce(self, p: int, n: float) -> float:
-        return self.bucket_reduce_scatter(p, n) + self.bucket_collect(p, n)
-
     # -- hybrids (section 6) ---------------------------------------------------
 
     def default_conflicts(self, strategy: Strategy) -> List[float]:
@@ -166,159 +142,87 @@ class CostModel:
         return [self.conflict_factor(strategy.stride(i))
                 for i in range(len(strategy.dims))]
 
-    def hybrid_bcast(self, strategy: Strategy, n: float,
-                     conflicts: Optional[Sequence[float]] = None) -> float:
-        """Cost of the S...S[M]C...C broadcast hybrid.
-
-        This is the general formula of section 6, the one Table 2
-        instantiates for p = 30.
-        """
-        strategy.check_smc()
-        if conflicts is None:
-            conflicts = self.default_conflicts(strategy)
-        dims = strategy.dims
-        a = strategy.nscatter
-        t = 0.0
-        m = float(n)
-        for i in range(a):
-            t += self.mst_scatter(dims[i], m, conflicts[i])
-            m /= dims[i]
-        if strategy.has_kernel:
-            t += self.mst_bcast(dims[a], m, conflicts[a])
-        for i in reversed(range(a)):
-            m *= dims[i]
-            t += self.bucket_collect(dims[i], m, conflicts[i])
-        return t
-
-    def hybrid_reduce(self, strategy: Strategy, n: float,
-                      conflicts: Optional[Sequence[float]] = None) -> float:
-        """Combine-to-one hybrid: bucket reduce-scatters in, MST combine
-        kernel, gathers out."""
-        strategy.check_smc()
-        if conflicts is None:
-            conflicts = self.default_conflicts(strategy)
-        dims = strategy.dims
-        a = strategy.nscatter
-        t = 0.0
-        m = float(n)
-        for i in range(a):
-            t += self.bucket_reduce_scatter(dims[i], m, conflicts[i])
-            m /= dims[i]
-        if strategy.has_kernel:
-            t += self.mst_reduce(dims[a], m, conflicts[a])
-        for i in reversed(range(a)):
-            m *= dims[i]
-            t += self.mst_gather(dims[i], m, conflicts[i])
-        return t
-
-    def hybrid_allreduce(self, strategy: Strategy, n: float,
-                         conflicts: Optional[Sequence[float]] = None
-                         ) -> float:
-        """Combine-to-all hybrid: reduce-scatters in, allreduce kernel,
-        collects out."""
-        strategy.check_smc()
-        if conflicts is None:
-            conflicts = self.default_conflicts(strategy)
-        dims = strategy.dims
-        a = strategy.nscatter
-        t = 0.0
-        m = float(n)
-        for i in range(a):
-            t += self.bucket_reduce_scatter(dims[i], m, conflicts[i])
-            m /= dims[i]
-        if strategy.has_kernel:
-            t += (self.mst_reduce(dims[a], m, conflicts[a])
-                  + self.mst_bcast(dims[a], m, conflicts[a]))
-        for i in reversed(range(a)):
-            m *= dims[i]
-            t += self.bucket_collect(dims[i], m, conflicts[i])
-        return t
-
-    def hybrid_collect(self, strategy: Strategy, n: float,
-                       conflicts: Optional[Sequence[float]] = None) -> float:
-        """Collect hybrid: merge dimension 1 outward; optional short
-        kernel (gather + MST bcast) on the innermost stage."""
-        strategy.check_collect()
-        if conflicts is None:
-            conflicts = self.default_conflicts(strategy)
-        dims = strategy.dims
-        p = strategy.p
-        t = 0.0
-        m = float(n) / p  # holding one block
-        for i, d in enumerate(dims):
-            m *= d  # size after merging this dimension
-            if i == 0 and strategy.has_kernel:
-                t += (self.mst_gather(d, m, conflicts[i])
-                      + self.mst_bcast(d, m, conflicts[i]))
-            else:
-                t += self.bucket_collect(d, m, conflicts[i])
-        return t
-
-    def hybrid_reduce_scatter(self, strategy: Strategy, n: float,
-                              conflicts: Optional[Sequence[float]] = None
-                              ) -> float:
-        """Distributed-combine hybrid: split outermost dimension first;
-        optional short kernel on the innermost stage."""
-        strategy.check_reduce_scatter()
-        if conflicts is None:
-            conflicts = self.default_conflicts(strategy)
-        dims = strategy.dims
-        t = 0.0
-        m = float(n)
-        for i in reversed(range(len(dims))):
-            if i == 0 and strategy.has_kernel:
-                t += (self.mst_reduce(dims[i], m, conflicts[i])
-                      + self.mst_scatter(dims[i], m, conflicts[i]))
-            else:
-                t += self.bucket_reduce_scatter(dims[i], m, conflicts[i])
-            m /= dims[i]
-        return t
-
     def hybrid(self, operation: str, strategy: Strategy, n: float,
                conflicts: Optional[Sequence[float]] = None) -> float:
-        """Dispatch by operation name."""
-        fn = {
-            "bcast": self.hybrid_bcast,
-            "reduce": self.hybrid_reduce,
-            "allreduce": self.hybrid_allreduce,
-            "collect": self.hybrid_collect,
-            "reduce_scatter": self.hybrid_reduce_scatter,
-        }.get(operation)
-        if fn is None:
-            raise KeyError(f"no hybrid cost model for operation "
-                           f"{operation!r}")
-        return fn(strategy, n, conflicts)
+        """Cost of ``operation`` under ``strategy`` for ``n`` elements:
+        the general formula of section 6, the one Table 2 instantiates
+        for p = 30.
 
-    # -- Table 2 presentation -------------------------------------------------
-
-    def hybrid_bcast_coefficients(self, strategy: Strategy
-                                  ) -> Tuple[float, float]:
-        """(alpha coefficient, beta coefficient in bytes) of the broadcast
-        hybrid — the two columns of Table 2.
-
-        For Table 2 the machine has no overhead and unit link capacity;
-        coefficients are computed symbolically: cost = A*alpha + B*n*beta
-        with n in bytes.
+        Walks :meth:`Strategy.stages` and prices each stage with the
+        primitives :data:`_STAGE_COSTS` assigns to its letter, at the
+        length of the piece that stage moves.  With ``k = 1`` this is
+        section 5's short- and long-vector compositions.  ``conflicts``
+        (default :meth:`default_conflicts`) gives one beta factor per
+        dimension.
         """
-        strategy.check_smc()
-        conflicts = self.default_conflicts(strategy)
+        stages = strategy.stages(operation)
+        if conflicts is None:
+            conflicts = self.default_conflicts(strategy)
         dims = strategy.dims
-        a = strategy.nscatter
-        A = 0.0
-        B = 0.0
-        m = 1.0  # fraction of the full message
-        for i in range(a):
+        # a collect starts from one block; every other family from the
+        # whole vector
+        m = float(n) / strategy.p if operation == "collect" else float(n)
+        t = 0.0
+        for letter, i in stages:
             d = dims[i]
-            A += ceil_log2(d)
-            B += (d - 1) / d * m * max(1.0, conflicts[i])
-            m /= d
-        if strategy.has_kernel:
-            d = dims[a]
-            A += ceil_log2(d)
-            B += ceil_log2(d) * m * max(1.0, conflicts[a])
-        for i in reversed(range(a)):
-            d = dims[i]
-            m *= d
-            A += d - 1
-            B += (d - 1) / d * m * max(1.0, conflicts[i])
-        return A, B
+            c = conflicts[i]
+            prims, resize = _STAGE_COSTS[operation, letter]
+            if resize == _MERGE:
+                m *= d
+            if len(prims) == 1:
+                t += prims[0](self, d, m, c)
+            else:   # a two-primitive kernel is one stage: sum it first
+                t += (prims[0](self, d, m, c) + prims[1](self, d, m, c))
+            if resize == _SPLIT:
+                m /= d
+        return t
+
+    def terms(self, operation: str, strategy: Strategy, n: float,
+              conflicts: Optional[Sequence[float]] = None
+              ) -> Dict[str, float]:
+        """Per-term attribution of :meth:`hybrid`: its alpha / beta /
+        gamma / overhead shares.
+
+        The closed forms are linear in each machine constant, so each
+        share is priced exactly with all other constants zeroed, and the
+        shares sum to the full prediction.  Table 2's ``(A, B)`` are the
+        alpha and beta shares of a broadcast of one byte on its unit
+        machine (alpha = beta = 1, itemsize 1).
+        """
+        zero = {"alpha": 0.0, "beta": 0.0, "gamma": 0.0,
+                "sw_overhead": 0.0,
+                "link_capacity": self.params.link_capacity}
+        out: Dict[str, float] = {}
+        for term, fld in (("alpha", "alpha"), ("beta", "beta"),
+                          ("gamma", "gamma"), ("overhead", "sw_overhead")):
+            params = MachineParams(**{**zero,
+                                      fld: getattr(self.params, fld)})
+            out[term] = CostModel(params, self.itemsize).hybrid(
+                operation, strategy, n, conflicts=conflicts)
+        return out
+
+
+#: how a stage changes the piece length ``m`` it is priced at: a
+#: splitting stage prices the piece it receives, then divides it; a
+#: merging stage multiplies it first and prices the merged piece
+_SPLIT, _MERGE = -1, 1
+
+#: (operation, stage letter) -> (primitives the stage runs, in order;
+#: how it resizes the piece) — Figure 3's template per family
+_STAGE_COSTS = {
+    ("bcast", "S"): ((CostModel.mst_scatter,), _SPLIT),
+    ("bcast", "M"): ((CostModel.mst_bcast,), 0),
+    ("bcast", "C"): ((CostModel.bucket_collect,), _MERGE),
+    ("reduce", "S"): ((CostModel.bucket_reduce_scatter,), _SPLIT),
+    ("reduce", "M"): ((CostModel.mst_reduce,), 0),
+    ("reduce", "C"): ((CostModel.mst_gather,), _MERGE),
+    ("allreduce", "S"): ((CostModel.bucket_reduce_scatter,), _SPLIT),
+    ("allreduce", "M"): ((CostModel.mst_reduce, CostModel.mst_bcast), 0),
+    ("allreduce", "C"): ((CostModel.bucket_collect,), _MERGE),
+    ("collect", "M"): ((CostModel.mst_gather, CostModel.mst_bcast),
+                       _MERGE),
+    ("collect", "C"): ((CostModel.bucket_collect,), _MERGE),
+    ("reduce_scatter", "S"): ((CostModel.bucket_reduce_scatter,), _SPLIT),
+    ("reduce_scatter", "M"): ((CostModel.mst_reduce, CostModel.mst_scatter),
+                              _SPLIT),
+}

@@ -59,7 +59,8 @@ def _line(ctx: CollContext, me: int, digs: Sequence[int],
     return ctx.strided_line(base, stride, dims[i])
 
 
-def _check(ctx: CollContext, strategy: Strategy) -> None:
+def _check(ctx: CollContext, strategy: Strategy, operation: str) -> None:
+    strategy.check(operation)
     if strategy.p != ctx.size:
         raise ValueError(
             f"strategy {strategy} covers {strategy.p} ranks but the group "
@@ -87,8 +88,7 @@ def hybrid_bcast(ctx: CollContext, buf: Optional[np.ndarray],
     ``total`` (the vector length) must be known at every rank unless this
     rank is the root.  Returns the full vector on every rank.
     """
-    strategy.check_smc()
-    _check(ctx, strategy)
+    _check(ctx, strategy, "bcast")
     me = ctx.require_member()
     dims = strategy.dims
     a = strategy.nscatter
@@ -146,8 +146,7 @@ def hybrid_reduce(ctx: CollContext, vec: np.ndarray, op, root: int,
     """Combine-to-one under ``S^a [M] C^a``: bucket reduce-scatters walk
     in, the MST combine kernel finishes the reduction, gathers walk out.
     Returns the combined vector at the root, None elsewhere."""
-    strategy.check_smc()
-    _check(ctx, strategy)
+    _check(ctx, strategy, "reduce")
     op = get_op(op)
     me = ctx.require_member()
     dims = strategy.dims
@@ -203,8 +202,7 @@ def hybrid_allreduce(ctx: CollContext, vec: np.ndarray, op,
     allreduce kernel (MST combine + MST broadcast) across the last
     dimension, bucket collects out.  Returns the combined vector on
     every rank."""
-    strategy.check_smc()
-    _check(ctx, strategy)
+    _check(ctx, strategy, "allreduce")
     op = get_op(op)
     me = ctx.require_member()
     dims = strategy.dims
@@ -258,8 +256,7 @@ def hybrid_collect(ctx: CollContext, myblock: np.ndarray,
     contiguous dimension first and walk outward; with ``M``, the
     innermost merge uses the short kernel (gather + MST broadcast).
     Returns the full vector on every rank."""
-    strategy.check_collect()
-    _check(ctx, strategy)
+    _check(ctx, strategy, "collect")
     me = ctx.require_member()
     p = ctx.size
     dims = strategy.dims
@@ -307,8 +304,7 @@ def hybrid_reduce_scatter(ctx: CollContext, vec: np.ndarray, op,
     the outermost dimension first and walk inward; with ``M``, the
     innermost stage uses the short kernel (MST combine + MST scatter).
     Rank ``i`` returns combined block ``i``."""
-    strategy.check_reduce_scatter()
-    _check(ctx, strategy)
+    _check(ctx, strategy, "reduce_scatter")
     op = get_op(op)
     me = ctx.require_member()
     p = ctx.size

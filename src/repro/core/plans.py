@@ -26,14 +26,6 @@ from .ops import get_op
 from .partition import partition_sizes
 from .strategy import Strategy
 
-_EXECUTORS = {
-    "bcast": hybrid_bcast,
-    "reduce": hybrid_reduce,
-    "allreduce": hybrid_allreduce,
-    "collect": hybrid_collect,
-    "reduce_scatter": hybrid_reduce_scatter,
-}
-
 
 class Plan:
     """A frozen (operation, group, length, strategy) tuple, executable.
@@ -45,9 +37,9 @@ class Plan:
     def __init__(self, operation: str, ctx: CollContext, n: int,
                  strategy: Strategy, op: Optional[Any] = None,
                  root: int = 0, sizes: Optional[Sequence[int]] = None):
-        if operation not in _EXECUTORS:
-            raise KeyError(f"unknown operation {operation!r}; "
-                           f"known: {sorted(_EXECUTORS)}")
+        # fail fast: validate the operation and strategy now (KeyError
+        # for an unknown operation)
+        strategy.check(operation)
         self.operation = operation
         self.ctx = ctx
         self.n = n
@@ -55,13 +47,6 @@ class Plan:
         self.op = get_op(op) if op is not None else None
         self.root = root
         self.sizes = list(sizes) if sizes is not None else None
-        # fail fast: validate the strategy against the group now
-        if operation in ("bcast", "reduce", "allreduce"):
-            strategy.check_smc()
-        elif operation == "collect":
-            strategy.check_collect()
-        else:
-            strategy.check_reduce_scatter()
         if strategy.p != ctx.size:
             raise ValueError(
                 f"strategy {strategy} covers {strategy.p} ranks, group "

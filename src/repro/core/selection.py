@@ -32,10 +32,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .params import MachineParams
 from .costmodel import CostModel
-from .strategy import (Strategy, collect_candidates,
-                       reduce_scatter_candidates, smc_candidates)
-
-OPERATIONS = ("bcast", "reduce", "allreduce", "collect", "reduce_scatter")
+from .strategy import (Strategy, candidates, family_ops,
+                       ordered_factorizations)
 
 #: :meth:`Selector.best` keeps at most this many memoized choices.
 BEST_CACHE_LIMIT = 1024
@@ -107,7 +105,6 @@ def mesh_candidate_dims(subrows: int, subcols: int, max_factors: int = 3
     """Candidate logical-mesh shapes for an ``R x C`` submesh group:
     factorizations whose leading dims multiply to C (within-row) and
     trailing dims to R (within-column)."""
-    from .strategy import ordered_factorizations
     cands: List[Tuple[int, ...]] = []
     for cf in ordered_factorizations(subcols, max_factors - 1):
         for rf in ordered_factorizations(subrows, max_factors - 1):
@@ -158,31 +155,12 @@ class Selector:
 
     # ------------------------------------------------------------------
 
-    def _candidates(self, operation: str, p: int) -> List[Strategy]:
-        if operation in ("bcast", "reduce", "allreduce"):
-            return smc_candidates(p, self.max_factors)
-        if operation == "collect":
-            return collect_candidates(p, self.max_factors)
-        if operation == "reduce_scatter":
-            return reduce_scatter_candidates(p, self.max_factors)
-        raise KeyError(f"unknown operation {operation!r}; "
-                       f"known: {OPERATIONS}")
-
     def _mesh_candidates(self, operation: str, subrows: int, subcols: int
                          ) -> List[Strategy]:
-        out: List[Strategy] = []
-        for dims in mesh_candidate_dims(subrows, subcols, self.max_factors):
-            k = len(dims)
-            if operation in ("bcast", "reduce", "allreduce"):
-                out.append(Strategy(dims, "S" * k + "C" * k))
-                out.append(Strategy(dims, "S" * (k - 1) + "M" + "C" * (k - 1)))
-            elif operation == "collect":
-                out.append(Strategy(dims, "C" * k))
-                out.append(Strategy(dims, "M" + "C" * (k - 1)))
-            elif operation == "reduce_scatter":
-                out.append(Strategy(dims, "S" * k))
-                out.append(Strategy(dims, "S" * (k - 1) + "M"))
-        return out
+        return [Strategy(dims, ops)
+                for dims in mesh_candidate_dims(subrows, subcols,
+                                                self.max_factors)
+                for ops in family_ops(operation, len(dims))]
 
     # ------------------------------------------------------------------
 
@@ -212,7 +190,7 @@ class Selector:
                 return
             choices.append(Choice(strategy, cost, conflicts))
 
-        for s in self._candidates(operation, p):
+        for s in candidates(operation, p, self.max_factors):
             add(s, linear_interleaves(s.dims))
 
         if mesh_shape is not None:

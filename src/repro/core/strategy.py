@@ -11,7 +11,9 @@ consecutive logical ranks; dimension ``i`` lines have stride
 ``d_1 * ... * d_{i-1}``.  (This convention is what makes all
 intermediate data contiguous and is validated against Table 2.)
 
-One grammar covers all the hybrid families used in this library:
+One grammar covers all the hybrid families used in this library, and
+this module states it once (:func:`family_ops`, :meth:`Strategy.stages`)
+for the executors, the cost model, the Selector, ``api`` and ``Plan``:
 
 * ``S^a M C^a`` with ``k = a+1`` dims, or ``S^k C^k`` with ``k`` dims —
   the broadcast / combine-to-one / combine-to-all family.  The letters
@@ -22,6 +24,11 @@ One grammar covers all the hybrid families used in this library:
   kernel on the innermost dimension).
 * ``S^k`` or ``S^{k-1} M`` — the distributed-combine family (stages run
   outermost dimension first; M = short kernel on the innermost).
+
+With ``k = 1`` these are section 5's compositions: ``(p, M)`` is each
+operation's short-vector algorithm (for a collect, gather then MST
+broadcast) and ``(p, SC)`` / ``(p, C)`` / ``(p, S)`` its long-vector
+one (for a broadcast, scatter then bucket collect).
 """
 
 from __future__ import annotations
@@ -74,46 +81,27 @@ class Strategy:
         """Stride of dimension ``i`` (0-based): prod of earlier dims."""
         return math.prod(self.dims[:i])
 
-    # -- family validation ------------------------------------------------
+    # -- families -------------------------------------------------------
 
-    def check_smc(self) -> None:
-        """Validate for the broadcast/reduce/allreduce family."""
-        a = self.nscatter
-        if self.ncollect != a:
+    def check(self, operation: str) -> None:
+        """Raise ValueError unless ``ops`` is one of the two legal ops
+        strings of ``operation``'s family over ``len(dims)`` dimensions
+        (:func:`family_ops`); KeyError for an unknown operation."""
+        legal = family_ops(operation, len(self.dims))
+        if self.ops not in legal:
             raise ValueError(
-                f"{self}: scatter and collect stage counts must match")
-        want = a + (1 if self.has_kernel else 0)
-        if len(self.dims) != want:
-            raise ValueError(
-                f"{self}: ops imply {want} dimensions, got {len(self.dims)}")
-        if not self.has_kernel and a == 0:
-            raise ValueError(f"{self}: empty strategy")
+                f"{self}: a {len(self.dims)}-dimension {operation} "
+                f"strategy has ops {' or '.join(legal)}")
 
-    def check_collect(self) -> None:
-        """Validate for the collect family (``C^k`` or ``M C^{k-1}``)."""
-        if self.nscatter:
-            raise ValueError(f"{self}: collect strategies have no S stages")
-        want = self.ncollect + (1 if self.has_kernel else 0)
-        if len(self.dims) != want:
-            raise ValueError(
-                f"{self}: ops imply {want} dimensions, got {len(self.dims)}")
-        if self.has_kernel and not self.ops.startswith("M"):
-            raise ValueError(
-                f"{self}: the collect kernel must be the innermost stage")
+    def stages(self, operation: str) -> Tuple[Tuple[str, int], ...]:
+        """``(letter, dim)`` per stage, in execution order, with ``dim``
+        the 0-based dimension the stage runs in.
 
-    def check_reduce_scatter(self) -> None:
-        """Validate for the distributed-combine family
-        (``S^k`` or ``S^{k-1} M``)."""
-        if self.ncollect:
-            raise ValueError(
-                f"{self}: distributed-combine strategies have no C stages")
-        want = self.nscatter + (1 if self.has_kernel else 0)
-        if len(self.dims) != want:
-            raise ValueError(
-                f"{self}: ops imply {want} dimensions, got {len(self.dims)}")
-        if self.has_kernel and not self.ops.endswith("M"):
-            raise ValueError(
-                f"{self}: the kernel must be the innermost (last) stage")
+        This is the one statement of each family's stage order: the
+        executors in :mod:`repro.core.hybrid` run it and
+        :meth:`~repro.core.costmodel.CostModel.hybrid` prices it.
+        """
+        return _stages(self, operation)
 
     # -- display ------------------------------------------------------------
 
@@ -133,14 +121,46 @@ class Strategy:
                          "expected 'd1xd2x...:OPS'")
 
 
-def mst_strategy(p: int) -> Strategy:
-    """The pure short-vector strategy: one dimension, kernel only."""
-    return Strategy((p,), "M")
+#: operation -> (letter of the stages before the kernel, letter of the
+#: stages after it); an empty letter means the family has no such half
+_FAMILY = {
+    "bcast": ("S", "C"),
+    "reduce": ("S", "C"),
+    "allreduce": ("S", "C"),
+    "collect": ("", "C"),
+    "reduce_scatter": ("S", ""),
+}
+
+#: the operations a hybrid strategy runs
+OPERATIONS = tuple(_FAMILY)
 
 
-def scatter_collect_strategy(p: int) -> Strategy:
-    """The pure long-vector strategy: one dimension, S then C."""
-    return Strategy((p,), "SC")
+def family_ops(operation: str, k: int) -> Tuple[str, str]:
+    """The two legal ops strings of ``operation`` over ``k`` dimensions:
+    the all-long form (``S^kC^k`` / ``C^k`` / ``S^k``) and the kernel
+    form (``S^{k-1}MC^{k-1}`` / ``MC^{k-1}`` / ``S^{k-1}M``)."""
+    try:
+        pre, post = _FAMILY[operation]
+    except KeyError:
+        raise KeyError(f"unknown operation {operation!r}; "
+                       f"known: {OPERATIONS}") from None
+    return (pre * k + post * k,
+            pre * (k - 1) + "M" + post * (k - 1))
+
+
+@lru_cache(maxsize=4096)
+def _stages(strategy: Strategy, operation: str
+            ) -> Tuple[Tuple[str, int], ...]:
+    strategy.check(operation)
+    k = len(strategy.dims)
+    if operation == "collect":
+        order = range(k)              # merge the contiguous dim first
+    elif operation == "reduce_scatter":
+        order = range(k - 1, -1, -1)  # split the outermost dim first
+    else:
+        a = strategy.nscatter         # scatter inward, collect back out
+        order = [*range(k), *range(a - 1, -1, -1)]
+    return tuple(zip(strategy.ops, order))
 
 
 @lru_cache(maxsize=4096)
@@ -171,57 +191,13 @@ def ordered_factorizations(p: int, max_factors: int = 3,
     return tuple(sorted(set(results)))
 
 
-def smc_candidates(p: int, max_factors: int = 3) -> List[Strategy]:
-    """Candidate strategies for the broadcast/reduce/allreduce family."""
-    out: List[Strategy] = [mst_strategy(p)]
+def candidates(operation: str, p: int, max_factors: int = 3
+               ) -> List[Strategy]:
+    """Candidate strategies of ``operation`` for a group of ``p``: the
+    pure short-vector ``(p, M)`` first, then both family forms over
+    every ordered factorization of ``p``."""
+    out = {Strategy((p,), "M"): None}
     for dims in ordered_factorizations(p, max_factors):
-        k = len(dims)
-        # all-scatter/all-collect variant
-        out.append(Strategy(dims, "S" * k + "C" * k))
-        # kernel on the last dimension
-        if k >= 2 or (k == 1 and p > 1):
-            out.append(Strategy(dims, "S" * (k - 1) + "M" + "C" * (k - 1)))
-    # dedupe (the (p,) factorization yields (p,)SM?C duplicates of the
-    # canonical singles)
-    seen = set()
-    uniq = []
-    for s in out:
-        key = (s.dims, s.ops)
-        if key not in seen:
-            seen.add(key)
-            uniq.append(s)
-    return uniq
-
-
-def collect_candidates(p: int, max_factors: int = 3) -> List[Strategy]:
-    """Candidate strategies for the collect family."""
-    out: List[Strategy] = []
-    for dims in ordered_factorizations(p, max_factors):
-        k = len(dims)
-        out.append(Strategy(dims, "C" * k))
-        out.append(Strategy(dims, "M" + "C" * (k - 1)))
-    seen = set()
-    uniq = []
-    for s in out:
-        key = (s.dims, s.ops)
-        if key not in seen:
-            seen.add(key)
-            uniq.append(s)
-    return uniq
-
-
-def reduce_scatter_candidates(p: int, max_factors: int = 3) -> List[Strategy]:
-    """Candidate strategies for the distributed-combine family."""
-    out: List[Strategy] = []
-    for dims in ordered_factorizations(p, max_factors):
-        k = len(dims)
-        out.append(Strategy(dims, "S" * k))
-        out.append(Strategy(dims, "S" * (k - 1) + "M"))
-    seen = set()
-    uniq = []
-    for s in out:
-        key = (s.dims, s.ops)
-        if key not in seen:
-            seen.add(key)
-            uniq.append(s)
-    return uniq
+        for ops in family_ops(operation, len(dims)):
+            out.setdefault(Strategy(dims, ops))
+    return list(out)

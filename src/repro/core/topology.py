@@ -305,6 +305,18 @@ class Mesh2D(Topology):
             raise ValueError(f"column {c} out of range")
         return [self.node_at(r, c) for r in range(self.rows)]
 
+    def submesh_nodes(self, r0: int, c0: int, nr: int, nc: int
+                      ) -> List[int]:
+        """Row-major node ids of the ``nr x nc`` submesh anchored at
+        ``(r0, c0)``.  Groups built this way classify as ``submesh``
+        (:func:`repro.core.groups.classify`), so ``algorithm="auto"``
+        also prices the conflict-free ``(C, R)`` mesh strategies."""
+        if r0 < 0 or c0 < 0 or r0 + nr > self.rows or c0 + nc > self.cols:
+            raise ValueError(f"submesh {nr}x{nc}@({r0},{c0}) exceeds "
+                             f"{self.rows}x{self.cols}")
+        return [self.node_at(r0 + i, c0 + j)
+                for i in range(nr) for j in range(nc)]
+
     def __repr__(self) -> str:
         return f"Mesh2D({self.rows}, {self.cols})"
 

@@ -10,9 +10,10 @@ the paper's section 6 heuristics and Table 2 conflict analysis rest on:
   ``RunResult.channel_metrics``;
 * **one trace model** (:mod:`repro.obs.trace`) — the
   :class:`~repro.obs.trace.Tracer` of message, stage-span, mark and
-  fault records that both backends fill: the hybrid and composed
-  collectives wrap every dimension/stage (scatter, MST kernel, collect,
-  ...) in enter/exit :class:`~repro.obs.trace.SpanRecord`, so a run
+  fault records that both backends fill: the hybrid collectives
+  (section 5's compositions included) wrap every dimension/stage
+  (scatter, MST kernel, collect, ...) in enter/exit
+  :class:`~repro.obs.trace.SpanRecord`, so a run
   decomposes into the paper's alpha/beta/gamma stages instead of a flat
   message soup;
 * **critical path** (:mod:`repro.analysis.critpath`) — the longest
@@ -60,7 +61,6 @@ _LAZY = {
     "RunAudit": ("repro.obs.audit", "RunAudit"),
     "OpAudit": ("repro.obs.audit", "OpAudit"),
     "audit_run": ("repro.obs.audit", "audit_run"),
-    "predicted_terms": ("repro.obs.audit", "predicted_terms"),
     "ConflictVerdict": ("repro.obs.audit", "ConflictVerdict"),
     "ChannelShare": ("repro.obs.audit", "ChannelShare"),
     "FlowShare": ("repro.obs.audit", "FlowShare"),

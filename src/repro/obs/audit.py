@@ -19,8 +19,8 @@ Mounié's validation of analytic collective models against measurement:
   ``algorithm="auto"`` dispatch captures on the op spans of a traced run
   (see :func:`repro.core.api.resolve_strategy`) and pairs each with the
   *measured* simulated time, the predicted/measured ratio, a per-term
-  decomposition of the prediction (alpha/beta/gamma/overhead — the cost
-  model is linear in each constant, so terms are priced in isolation)
+  decomposition of the prediction (alpha/beta/gamma/overhead, from
+  :meth:`~repro.core.costmodel.CostModel.terms`)
   and the measured critical-path split (alpha/beta/wait, reusing
   :mod:`repro.analysis.critpath`).  Exposed as ``RunResult.audit``.
 * :func:`verify_building_blocks` runs the four conflict-free building
@@ -51,7 +51,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .trace import MessageRecord, Tracer
 
@@ -171,32 +171,6 @@ def _shift(m: MessageRecord, t0: float) -> MessageRecord:
         t_match=m.t_match - t0, t_complete=m.t_complete - t0)
 
 
-def predicted_terms(params, itemsize: int, operation: str, strategy,
-                    n: float,
-                    conflicts: Optional[Sequence[float]] = None
-                    ) -> Dict[str, float]:
-    """Per-term attribution of a cost-model prediction.
-
-    The closed forms of :class:`~repro.core.costmodel.CostModel` are
-    linear in each machine constant, so the alpha / beta / gamma /
-    overhead shares are obtained exactly by pricing with all other
-    constants zeroed.  The shares sum to the full prediction (pinned by
-    the test suite).
-    """
-    from ..core.costmodel import CostModel
-    from ..core.params import MachineParams
-    out: Dict[str, float] = {}
-    for term, fld in (("alpha", "alpha"), ("beta", "beta"),
-                      ("gamma", "gamma"), ("overhead", "sw_overhead")):
-        kw = {"alpha": 0.0, "beta": 0.0, "gamma": 0.0, "sw_overhead": 0.0,
-              "link_capacity": params.link_capacity}
-        kw[fld] = getattr(params, fld)
-        model = CostModel(MachineParams(**kw), itemsize=itemsize)
-        out[term] = model.hybrid(operation, strategy, n,
-                                 conflicts=conflicts)
-    return out
-
-
 def _span_groups(trace) -> List[List]:
     """Group op spans into per-collective sets by occurrence index.
 
@@ -226,6 +200,7 @@ def audit_run(run) -> RunAudit:
     constants for the per-term prediction split.
     """
     from ..analysis.critpath import critical_path, critical_path_summary
+    from ..core.costmodel import CostModel
     from ..core.strategy import Strategy
 
     trace = run.trace
@@ -264,8 +239,8 @@ def audit_run(run) -> RunAudit:
         if (predicted is not None and params is not None
                 and strategy_s and n is not None):
             try:
-                terms = predicted_terms(
-                    params, int(attrs.get("selector_itemsize", 8)),
+                terms = CostModel(
+                    params, int(attrs.get("selector_itemsize", 8))).terms(
                     operation, Strategy.parse(strategy_s), n,
                     conflicts=conflicts)
             except (KeyError, ValueError):

@@ -5,9 +5,9 @@ A :class:`Tracer` holds:
 * one :class:`MessageRecord` per point-to-point message — the Figure 1
   style step-by-step tables, the critical path and the conflict-model
   tests read these;
-* :class:`SpanRecord` enter/exit spans — the hybrid and composed
-  collectives wrap each dimension/stage (scatter, MST kernel, collect,
-  ...) in spans, so a run decomposes into the paper's alpha/beta/gamma
+* :class:`SpanRecord` enter/exit spans — the hybrid collectives (and so
+  section 5's compositions, their one-dimension case) wrap each
+  dimension/stage (scatter, MST kernel, collect, ...) in spans, so a run decomposes into the paper's alpha/beta/gamma
   stages instead of a flat message soup (see docs/observability.md);
 * zero-cost ``mark`` annotations and injected-fault records.
 

@@ -47,6 +47,22 @@ class TestBuildReport:
         assert main([str(tmp_path), out]) == 0
         assert os.path.exists(out)
 
+    def test_help_prints_usage_and_writes_nothing(self, tmp_path,
+                                                  monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+        assert "--audit" in capsys.readouterr().out
+        assert os.listdir(tmp_path) == []
+
+    def test_audit_and_trace_are_exclusive(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main(["--audit", "--trace", "bcast"])
+        assert exc.value.code == 2
+        assert os.listdir(tmp_path) == []
+
 
 class TestTraceMode:
     def test_trace_cli_writes_chrome_json(self, tmp_path, capsys):

@@ -65,7 +65,8 @@ class TestApiMisuse:
             return (yield from api.collect(env, np.zeros(2),
                                            algorithm="4x2:SSCC"))
 
-        with pytest.raises(ValueError, match="no S stages"):
+        with pytest.raises(ValueError,
+                           match="collect strategy has ops CC or MC"):
             run_linear(8, prog)
 
     def test_collect_sizes_length_mismatch(self):

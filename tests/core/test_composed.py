@@ -1,16 +1,16 @@
 """Tests for the section 5 composed algorithms: semantics of all seven
-operations in both short- and long-vector form, and the quoted costs."""
+operations in both short- and long-vector form, and the quoted costs.
+
+The compositions are the one-dimension hybrids, ``(p, M)`` and ``(p,
+SC)`` / ``(p, C)`` / ``(p, S)``, which ``api``'s ``algorithm="short"`` and
+``algorithm="long"`` run."""
 
 import math
 
 import numpy as np
 import pytest
 
-from repro.core import composed, partition_sizes
-from repro.core.composed import (long_allreduce, long_bcast, long_reduce,
-                                 short_allreduce, short_collect,
-                                 short_reduce_scatter)
-from repro.core.context import CollContext
+from repro.core import api
 
 from .conftest import run_linear
 
@@ -25,9 +25,8 @@ class TestShortCompositions:
         nb = 3
 
         def prog(env):
-            ctx = CollContext(env)
             mine = np.full(nb, float(env.rank))
-            return (yield from short_collect(ctx, mine))
+            return (yield from api.collect(env, mine, algorithm="short"))
 
         run = run_linear(p, prog)
         ref = np.concatenate([np.full(nb, float(i)) for i in range(p)])
@@ -41,8 +40,8 @@ class TestShortCompositions:
         n = nb * p
 
         def prog(env):
-            ctx = CollContext(env)
-            return (yield from short_collect(ctx, np.zeros(nb)))
+            return (yield from api.collect(env, np.zeros(nb),
+                                           algorithm="short"))
 
         run = run_linear(p, prog)
         gather = L(p) + (p - 1) / p * n * 8
@@ -55,9 +54,9 @@ class TestShortCompositions:
         n = nb * p
 
         def prog(env):
-            ctx = CollContext(env)
             v = np.arange(n, dtype=np.float64) * (env.rank + 1)
-            return (yield from short_reduce_scatter(ctx, v, op="sum"))
+            return (yield from api.reduce_scatter(env, v, op="sum",
+                                                  algorithm="short"))
 
         run = run_linear(p, prog)
         full = np.arange(n, dtype=np.float64) * (p * (p + 1) / 2)
@@ -69,9 +68,9 @@ class TestShortCompositions:
         n = 10
 
         def prog(env):
-            ctx = CollContext(env)
             v = np.full(n, float(env.rank + 1))
-            return (yield from short_allreduce(ctx, v, op="sum"))
+            return (yield from api.allreduce(env, v, op="sum",
+                                             algorithm="short"))
 
         run = run_linear(p, prog)
         for res in run.results:
@@ -82,8 +81,8 @@ class TestShortCompositions:
         p, n = 8, 4
 
         def prog(env):
-            ctx = CollContext(env)
-            return (yield from short_allreduce(ctx, np.zeros(n), op="sum"))
+            return (yield from api.allreduce(env, np.zeros(n), op="sum",
+                                             algorithm="short"))
 
         run = run_linear(p, prog)
         expect = 2 * L(p) + 2 * L(p) * n * 8 + L(p) * n
@@ -97,10 +96,10 @@ class TestLongCompositions:
         n = 6 * p + 1  # deliberately uneven
 
         def prog(env):
-            ctx = CollContext(env)
             x = np.arange(n, dtype=np.float64)
             buf = x if env.rank == root else None
-            return (yield from long_bcast(ctx, buf, root=root, total=n))
+            return (yield from api.bcast(env, buf, root=root, total=n,
+                                         algorithm="long"))
 
         run = run_linear(p, prog)
         for res in run.results:
@@ -112,9 +111,9 @@ class TestLongCompositions:
         n = nb * p
 
         def prog(env):
-            ctx = CollContext(env)
             buf = np.zeros(n) if env.rank == 0 else None
-            return (yield from long_bcast(ctx, buf, root=0, total=n))
+            return (yield from api.bcast(env, buf, root=0, total=n,
+                                         algorithm="long"))
 
         run = run_linear(p, prog)
         expect = (L(p) + p - 1) + 2 * (p - 1) / p * n * 8
@@ -122,9 +121,8 @@ class TestLongCompositions:
 
     def test_long_bcast_needs_total_off_root(self):
         def prog(env):
-            ctx = CollContext(env)
             buf = np.zeros(8) if env.rank == 0 else None
-            return (yield from long_bcast(ctx, buf, root=0))
+            return (yield from api.bcast(env, buf, root=0, algorithm="long"))
 
         with pytest.raises(ValueError, match="total"):
             run_linear(4, prog)
@@ -134,9 +132,9 @@ class TestLongCompositions:
         n = 5 * p
 
         def prog(env):
-            ctx = CollContext(env)
             v = np.full(n, float(env.rank + 1))
-            return (yield from long_reduce(ctx, v, op="sum", root=root))
+            return (yield from api.reduce(env, v, op="sum", root=root,
+                                          algorithm="long"))
 
         run = run_linear(p, prog)
         assert np.allclose(run.results[root], p * (p + 1) / 2)
@@ -150,9 +148,8 @@ class TestLongCompositions:
         n = nb * p
 
         def prog(env):
-            ctx = CollContext(env)
-            return (yield from long_reduce(ctx, np.zeros(n), op="sum",
-                                           root=0))
+            return (yield from api.reduce(env, np.zeros(n), op="sum", root=0,
+                                          algorithm="long"))
 
         run = run_linear(p, prog)
         rs = (p - 1) * (1 + nb * 8 + nb)
@@ -164,9 +161,9 @@ class TestLongCompositions:
         n = 4 * p + 3
 
         def prog(env):
-            ctx = CollContext(env)
             v = np.arange(n, dtype=np.float64) * (env.rank + 1)
-            return (yield from long_allreduce(ctx, v, op="sum"))
+            return (yield from api.allreduce(env, v, op="sum",
+                                             algorithm="long"))
 
         run = run_linear(p, prog)
         ref = np.arange(n, dtype=np.float64) * (p * (p + 1) / 2)
@@ -179,8 +176,8 @@ class TestLongCompositions:
         n = nb * p
 
         def prog(env):
-            ctx = CollContext(env)
-            return (yield from long_allreduce(ctx, np.zeros(n), op="sum"))
+            return (yield from api.allreduce(env, np.zeros(n), op="sum",
+                                             algorithm="long"))
 
         run = run_linear(p, prog)
         expect = 2 * (p - 1) * (1 + nb * 8) + (p - 1) * nb
@@ -195,11 +192,9 @@ class TestShortLongAgree:
         n = 3 * p
 
         def prog(env, variant):
-            ctx = CollContext(env)
             v = np.arange(n, dtype=np.float64) + env.rank
-            if variant == "short":
-                return (yield from short_allreduce(ctx, v, op="sum"))
-            return (yield from long_allreduce(ctx, v, op="sum"))
+            return (yield from api.allreduce(env, v, op="sum",
+                                             algorithm=variant))
 
         a = run_linear(p, prog, "short").results
         b = run_linear(p, prog, "long").results

@@ -49,7 +49,8 @@ class TestExactAgreement:
         exact."""
         m = Machine(LinearArray(p), UNIT)
         t = sim_bcast(m, p, Strategy((p,), "SC"), n)
-        assert t == pytest.approx(CM.long_bcast(p, n))
+        assert t == pytest.approx(CM.hybrid("bcast", Strategy((p,), "SC"),
+                                            n))
 
     @pytest.mark.parametrize("p,nb", [(4, 8), (8, 8), (30, 4)])
     def test_bucket_collect_exact(self, p, nb):
@@ -87,7 +88,8 @@ class TestExactAgreement:
             return (yield from hybrid_allreduce(
                 ctx, np.zeros(n), "sum", Strategy((p,), "SC")))
 
-        assert m.run(prog).time == pytest.approx(CM.long_allreduce(p, n))
+        assert m.run(prog).time == pytest.approx(
+            CM.hybrid("allreduce", Strategy((p,), "SC"), n))
 
 
 class TestConflictedHybridsBounded:
@@ -104,7 +106,7 @@ class TestConflictedHybridsBounded:
         m = Machine(LinearArray(p), UNIT)
         s = Strategy(dims, ops)
         t = sim_bcast(m, p, s, n)
-        predicted = CM.hybrid_bcast(s, n)
+        predicted = CM.hybrid("bcast", s, n)
         assert t <= predicted * 1.001
         assert t >= predicted * 0.55
 
@@ -116,7 +118,7 @@ class TestConflictedHybridsBounded:
         m = Machine(Mesh2D(r, c), UNIT)
         s = Strategy((c, r), "SSCC")
         t = sim_bcast(m, r * c, s, n)
-        predicted = CM.hybrid_bcast(s, n, conflicts=[1.0, 1.0])
+        predicted = CM.hybrid("bcast", s, n, conflicts=[1.0, 1.0])
         assert t == pytest.approx(predicted, rel=0.02)
 
 

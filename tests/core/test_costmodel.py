@@ -70,81 +70,123 @@ class TestPrimitiveCosts:
         assert cm.mst_bcast(8, 10) == 3 * (1 + 80 + 5)
 
     def test_conflicts_can_be_disabled(self):
-        cm = CostModel(UNIT, itemsize=8, model_conflicts=False)
+        cm = CostModel(UNIT, itemsize=8)
         s = Strategy((2, 15), "SSCC")
-        t_plain = cm.hybrid_bcast(s, 30)
-        t_conf = CostModel(UNIT, itemsize=8).hybrid_bcast(s, 30)
+        t_plain = cm.hybrid("bcast", s, 30, conflicts=[1.0] * 2)
+        t_conf = cm.hybrid("bcast", s, 30)
         assert t_plain < t_conf
+
+
+def table2_coefficients(strategy):
+    """Table 2's ``(A, B)``: the alpha and beta shares of a one-byte
+    broadcast on the unit machine."""
+    terms = T2.terms("bcast", strategy, 1)
+    return terms["alpha"], terms["beta"]
 
 
 class TestTable2:
     @pytest.mark.parametrize("dims,ops", sorted(TABLE2))
     def test_row(self, dims, ops):
-        A, B = T2.hybrid_bcast_coefficients(Strategy(dims, ops))
+        A, B = table2_coefficients(Strategy(dims, ops))
         a_ref, b30_ref = TABLE2[(dims, ops)]
         assert A == pytest.approx(a_ref)
         assert B * 30 == pytest.approx(b30_ref)
 
     def test_rows_order_by_beta_trades_alpha(self):
         """Table 2's point: lower beta coefficients cost more alpha."""
-        mst = T2.hybrid_bcast_coefficients(Strategy((30,), "M"))
-        sscc = T2.hybrid_bcast_coefficients(Strategy((2, 15), "SSCC"))
+        mst = table2_coefficients(Strategy((30,), "M"))
+        sscc = table2_coefficients(Strategy((2, 15), "SSCC"))
         assert sscc[1] < mst[1]      # better bandwidth
         assert sscc[0] > mst[0]      # worse latency
 
     def test_coefficients_match_full_cost(self):
         s = Strategy((2, 3, 5), "SSMCC")
-        A, B = T2.hybrid_bcast_coefficients(s)
+        A, B = table2_coefficients(s)
         n = 600
-        assert T2.hybrid_bcast(s, n) == pytest.approx(A + B * n)
+        assert T2.hybrid("bcast", s, n) == pytest.approx(A + B * n)
 
 
 class TestHybridCosts:
+    """With one dimension the hybrids are section 5's compositions."""
     cm = CostModel(UNIT, itemsize=8)
 
     def test_sc_equals_long_bcast(self):
-        assert self.cm.hybrid_bcast(Strategy((8,), "SC"), 80) == \
-            pytest.approx(self.cm.long_bcast(8, 80))
+        """Long broadcast = scatter + bucket collect."""
+        assert self.cm.hybrid("bcast", Strategy((8,), "SC"), 80) == \
+            self.cm.mst_scatter(8, 80) + self.cm.bucket_collect(8, 80)
 
     def test_m_equals_mst(self):
-        assert self.cm.hybrid_bcast(Strategy((8,), "M"), 80) == \
-            pytest.approx(self.cm.mst_bcast(8, 80))
+        assert self.cm.hybrid("bcast", Strategy((8,), "M"), 80) == \
+            self.cm.mst_bcast(8, 80)
 
     def test_reduce_sc_equals_long_reduce(self):
-        assert self.cm.hybrid_reduce(Strategy((8,), "SC"), 80) == \
-            pytest.approx(self.cm.long_reduce(8, 80))
+        """Long combine-to-one = bucket distributed combine + gather."""
+        assert self.cm.hybrid("reduce", Strategy((8,), "SC"), 80) == \
+            self.cm.bucket_reduce_scatter(8, 80) + self.cm.mst_gather(8, 80)
 
     def test_allreduce_m_equals_short(self):
-        assert self.cm.hybrid_allreduce(Strategy((8,), "M"), 80) == \
-            pytest.approx(self.cm.short_allreduce(8, 80))
+        """Short combine-to-all = combine-to-one + MST broadcast."""
+        assert self.cm.hybrid("allreduce", Strategy((8,), "M"), 80) == \
+            self.cm.mst_reduce(8, 80) + self.cm.mst_bcast(8, 80)
+
+    def test_allreduce_sc_equals_long(self):
+        """Long combine-to-all = bucket distributed combine + bucket
+        collect."""
+        assert self.cm.hybrid("allreduce", Strategy((8,), "SC"), 80) == \
+            self.cm.bucket_reduce_scatter(8, 80) + \
+            self.cm.bucket_collect(8, 80)
 
     def test_collect_single_bucket_stage(self):
-        assert self.cm.hybrid_collect(Strategy((8,), "C"), 80) == \
-            pytest.approx(self.cm.bucket_collect(8, 80))
+        assert self.cm.hybrid("collect", Strategy((8,), "C"), 80) == \
+            self.cm.bucket_collect(8, 80)
 
     def test_collect_kernel_equals_short_collect(self):
-        assert self.cm.hybrid_collect(Strategy((8,), "M"), 80) == \
-            pytest.approx(self.cm.short_collect(8, 80))
+        """Short collect = gather + MST broadcast."""
+        assert self.cm.hybrid("collect", Strategy((8,), "M"), 80) == \
+            self.cm.mst_gather(8, 80) + self.cm.mst_bcast(8, 80)
 
     def test_reduce_scatter_kernel_equals_short(self):
-        assert self.cm.hybrid_reduce_scatter(Strategy((8,), "M"), 80) == \
-            pytest.approx(self.cm.short_reduce_scatter(8, 80))
+        """Short distributed combine = combine-to-one + scatter."""
+        assert self.cm.hybrid("reduce_scatter", Strategy((8,), "M"), 80) \
+            == self.cm.mst_reduce(8, 80) + self.cm.mst_scatter(8, 80)
+
+    def test_two_dim_piece_lengths(self):
+        """Each stage is priced at the piece it moves: a collect merges
+        blocks outward, a distributed combine splits the vector inward,
+        and a broadcast scatters in, then collects back out."""
+        cm = self.cm
+        assert cm.hybrid("collect", Strategy((4, 2), "MC"), 80,
+                         conflicts=[1.0, 1.0]) == \
+            (cm.mst_gather(4, 40) + cm.mst_bcast(4, 40)) + \
+            cm.bucket_collect(2, 80)
+        assert cm.hybrid("reduce_scatter", Strategy((4, 2), "SM"), 80,
+                         conflicts=[1.0, 1.0]) == \
+            cm.bucket_reduce_scatter(2, 80) + \
+            (cm.mst_reduce(4, 40) + cm.mst_scatter(4, 40))
+        assert cm.hybrid("reduce", Strategy((4, 2), "SMC"), 80,
+                         conflicts=[1.0, 1.0]) == \
+            cm.bucket_reduce_scatter(4, 80) + cm.mst_reduce(2, 20) + \
+            cm.mst_gather(4, 80)
 
     def test_dispatch(self):
+        """The broadcast walk with the default linear-array conflicts:
+        dimension 2 has stride 4, so its stages pay factor 4."""
+        cm = self.cm
         s = Strategy((4, 8), "SSCC")
-        assert self.cm.hybrid("bcast", s, 100) == \
-            pytest.approx(self.cm.hybrid_bcast(s, 100))
+        assert cm.hybrid("bcast", s, 100) == (
+            cm.mst_scatter(4, 100, 1.0) + cm.mst_scatter(8, 25, 4.0)
+            + cm.bucket_collect(8, 25, 4.0) + cm.bucket_collect(4, 100, 1.0))
         with pytest.raises(KeyError):
             self.cm.hybrid("gossip", s, 100)
 
     def test_family_validation_enforced(self):
         with pytest.raises(ValueError):
-            self.cm.hybrid_collect(Strategy((4, 8), "SC"), 100)
+            self.cm.hybrid("collect", Strategy((4, 8), "SC"), 100)
 
     def test_custom_conflicts_override(self):
         s = Strategy((2, 15), "SSCC")
-        free = self.cm.hybrid_bcast(s, 300, conflicts=[1.0, 1.0])
-        default = self.cm.hybrid_bcast(s, 300)
+        free = self.cm.hybrid("bcast", s, 300, conflicts=[1.0, 1.0])
+        default = self.cm.hybrid("bcast", s, 300)
         assert free < default
 
     def test_link_capacity_shrinks_conflict_factor(self):

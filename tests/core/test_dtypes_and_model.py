@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import CostModel, Strategy, api, smc_candidates
+from repro.core import CostModel, Strategy, api, candidates
 from repro.core.context import CollContext
 from repro.core.hybrid import hybrid_bcast
 from repro.sim import LinearArray, Machine, PARAGON, UNIT
@@ -79,7 +79,7 @@ class TestModelVsSimulationRandom:
     @settings(max_examples=20, deadline=None)
     def test_bcast_bounded_by_model(self, data):
         p = data.draw(st.sampled_from([8, 12, 16, 24]))
-        strategy = data.draw(st.sampled_from(smc_candidates(p)))
+        strategy = data.draw(st.sampled_from(candidates("bcast", p)))
         n = data.draw(st.sampled_from([p, 4 * p, 16 * p]))
         machine = Machine(LinearArray(p), UNIT)
         x = np.arange(n, dtype=np.float64)
@@ -92,7 +92,7 @@ class TestModelVsSimulationRandom:
             return True
 
         t = machine.run(prog).time
-        predicted = self.CM.hybrid_bcast(strategy, n)
+        predicted = self.CM.hybrid("bcast", strategy, n)
         assert t <= predicted * 1.001, (strategy, n)
         assert t >= predicted * 0.40, (strategy, n)
 
@@ -101,8 +101,8 @@ class TestModelVsSimulationRandom:
         simulation must order them the same way."""
         p, n = 24, 9600
         machine = Machine(LinearArray(p), UNIT)
-        cands = smc_candidates(p)
-        priced = sorted(((self.CM.hybrid_bcast(s, n), s) for s in cands),
+        cands = candidates("bcast", p)
+        priced = sorted(((self.CM.hybrid("bcast", s, n), s) for s in cands),
                         key=lambda x: x[0])
         cheap_cost, cheap = priced[0]
         costly_cost, costly = priced[-1]

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import Strategy, partition_sizes
+from repro.core import Strategy, api, candidates, partition_sizes
 from repro.core.context import CollContext
 from repro.core.hybrid import (hybrid_allreduce, hybrid_bcast,
                                hybrid_collect, hybrid_reduce,
@@ -279,9 +279,8 @@ class TestPropertyBased:
     def test_random_smc_strategy_bcast(self, data, n):
         """Any valid strategy over any factorization broadcasts
         correctly with any root and any length."""
-        from repro.core import smc_candidates
         p = data.draw(st.sampled_from([6, 8, 12, 18, 24, 30]))
-        s = data.draw(st.sampled_from(smc_candidates(p)))
+        s = data.draw(st.sampled_from(candidates("bcast", p)))
         root = data.draw(st.integers(0, p - 1))
         x = np.arange(n, dtype=np.float64)
 
@@ -296,9 +295,8 @@ class TestPropertyBased:
     @given(data=st.data())
     @settings(max_examples=25, deadline=None)
     def test_random_allreduce_matches_oracle(self, data):
-        from repro.core import smc_candidates
         p = data.draw(st.sampled_from([4, 6, 12, 16]))
-        s = data.draw(st.sampled_from(smc_candidates(p)))
+        s = data.draw(st.sampled_from(candidates("bcast", p)))
         n = data.draw(st.integers(1, 40))
 
         def prog(env):
@@ -309,3 +307,46 @@ class TestPropertyBased:
         run = run_linear(p, prog)
         for res in run.results:
             assert np.allclose(res, p * (p + 1) / 2)
+
+
+#: the span phase each executor records for a stage letter
+STAGE_PHASES = {
+    "bcast": {"S": "scatter", "M": "kernel", "C": "collect"},
+    "reduce": {"S": "reduce-scatter", "M": "kernel", "C": "gather"},
+    "allreduce": {"S": "reduce-scatter", "M": "kernel", "C": "collect"},
+    "collect": {"M": "kernel", "C": "collect"},
+    "reduce_scatter": {"S": "reduce-scatter", "M": "kernel"},
+}
+
+
+class TestExecutorsRunTheStageTable:
+    """The executors keep their own loops; this pins each of them to
+    ``Strategy.stages``, the order the cost model prices."""
+
+    @pytest.mark.parametrize("operation", sorted(STAGE_PHASES))
+    @pytest.mark.parametrize("p", [6, 8, 12, 30])
+    def test_root_stage_spans_follow_stages(self, operation, p):
+        root = p - 1     # a root off digit zero in every dimension
+        n = 2 * p
+
+        def prog(env, s):
+            v = np.ones(n)
+            if operation == "bcast":
+                return (yield from api.bcast(
+                    env, v if env.rank == root else None, root, total=n,
+                    algorithm=s))
+            if operation == "reduce":
+                return (yield from api.reduce(env, v, root=root,
+                                              algorithm=s))
+            if operation == "collect":
+                return (yield from api.collect(env, v[:2], algorithm=s))
+            return (yield from getattr(api, operation)(env, v, algorithm=s))
+
+        for s in candidates(operation, p):
+            run = run_linear(p, prog, s, trace=True)
+            got = [(span.phase, int(span.label.rsplit("dim", 1)[1]) - 1,
+                    span.attrs["d"])
+                   for span in run.trace.spans_of(root) if span.depth == 1]
+            want = [(STAGE_PHASES[operation][letter], i, s.dims[i])
+                    for letter, i in s.stages(operation)]
+            assert got == want, s

@@ -1,14 +1,12 @@
-"""Tests for the mesh-aware conveniences (section 7)."""
+"""Tests for the mesh-aware techniques of section 7: physical rows,
+columns and submeshes as groups, and the ``(C, R)`` strategies that run
+one stage within rows and one within columns of an ``R x C`` mesh."""
 
 import numpy as np
 import pytest
 
-from repro.core import api
-from repro.core.context import CollContext
-from repro.core.mesh2d import (best_mesh_choice, col_group, row_group,
-                               submesh_group, two_phase_collect,
-                               two_phase_reduce_scatter, two_phase_strategy)
-from repro.core.strategy import Strategy
+from repro.core import api, selector_for
+from repro.core.strategy import Strategy, family_ops
 from repro.sim import Machine, Mesh2D, PARAGON, UNIT
 
 from .conftest import run_mesh
@@ -18,30 +16,40 @@ class TestGroupBuilders:
     mesh = Mesh2D(4, 8)
 
     def test_row_col(self):
-        assert row_group(self.mesh, 1) == list(range(8, 16))
-        assert col_group(self.mesh, 2) == [2, 10, 18, 26]
+        assert self.mesh.row_nodes(1) == list(range(8, 16))
+        assert self.mesh.col_nodes(2) == [2, 10, 18, 26]
 
     def test_submesh(self):
-        g = submesh_group(self.mesh, 1, 2, 2, 3)
+        g = self.mesh.submesh_nodes(1, 2, 2, 3)
         assert g == [10, 11, 12, 18, 19, 20]
 
     def test_submesh_bounds(self):
         with pytest.raises(ValueError):
-            submesh_group(self.mesh, 3, 0, 2, 4)
+            self.mesh.submesh_nodes(3, 0, 2, 4)
+        with pytest.raises(ValueError):
+            self.mesh.submesh_nodes(0, -1, 2, 2)
+
+
+def mesh_candidates(operation, r, c):
+    return selector_for(UNIT)._mesh_candidates(operation, r, c)
 
 
 class TestTwoPhaseStrategy:
+    """The Selector's mesh candidates include the two-phase ``(C, R)``
+    all-long strategy of every family."""
+
     def test_collect_shape(self):
-        s = two_phase_strategy("collect", 16, 32)
-        assert s == Strategy((32, 16), "CC")
+        assert Strategy((32, 16), "CC") in mesh_candidates("collect", 16, 32)
 
     def test_bcast_shape(self):
-        s = two_phase_strategy("bcast", 4, 8)
-        assert s == Strategy((8, 4), "SSCC")
+        assert Strategy((8, 4), "SSCC") in mesh_candidates("bcast", 4, 8)
+        assert Strategy((8, 4), "SS") in mesh_candidates(
+            "reduce_scatter", 4, 8)
 
     def test_degenerate_row(self):
-        s = two_phase_strategy("collect", 1, 8)
-        assert s == Strategy((8,), "C")
+        assert Strategy((8,), "C") in mesh_candidates("collect", 1, 8)
+        assert Strategy((8,), family_ops("bcast", 1)[0]) in \
+            mesh_candidates("bcast", 1, 8)
 
 
 class TestTwoPhaseLatency:
@@ -54,9 +62,9 @@ class TestTwoPhaseLatency:
         params = UNIT.with_(beta=1e-9, gamma=0.0)
 
         def prog(env):
-            ctx = CollContext(env)
             mine = np.full(nb, float(env.rank))
-            return (yield from two_phase_collect(ctx, mine, (r, c)))
+            return (yield from api.collect(env, mine,
+                                           algorithm=Strategy((c, r), "CC")))
 
         run = run_mesh(r, c, prog, params=params)
         assert run.time == pytest.approx(r + c - 2, rel=1e-3)
@@ -65,9 +73,9 @@ class TestTwoPhaseLatency:
         r, c = 3, 4
 
         def prog(env):
-            ctx = CollContext(env)
             mine = np.full(2, float(env.rank))
-            return (yield from two_phase_collect(ctx, mine, (r, c)))
+            return (yield from api.collect(env, mine,
+                                           algorithm=Strategy((c, r), "CC")))
 
         run = run_mesh(r, c, prog)
         ref = np.concatenate([np.full(2, float(i)) for i in range(12)])
@@ -80,10 +88,9 @@ class TestTwoPhaseLatency:
         n = 2 * p
 
         def prog(env):
-            ctx = CollContext(env)
             v = np.arange(n, dtype=np.float64) * (env.rank + 1)
-            return (yield from two_phase_reduce_scatter(ctx, v, "sum",
-                                                        (r, c)))
+            return (yield from api.reduce_scatter(
+                env, v, "sum", algorithm=Strategy((c, r), "SS")))
 
         run = run_mesh(r, c, prog)
         full = np.arange(n, dtype=np.float64) * (p * (p + 1) / 2)
@@ -95,10 +102,8 @@ class TestTwoPhaseLatency:
         r, c = 4, 8
 
         def prog(env, strategy):
-            ctx = CollContext(env)
             mine = np.full(1, float(env.rank))
-            from repro.core.hybrid import hybrid_collect
-            return (yield from hybrid_collect(ctx, mine, strategy))
+            return (yield from api.collect(env, mine, algorithm=strategy))
 
         mesh_t = run_mesh(r, c, prog, Strategy((8, 4), "CC")).time
         ring_t = run_mesh(r, c, prog, Strategy((32,), "C")).time
@@ -107,7 +112,8 @@ class TestTwoPhaseLatency:
 
 class TestBestMeshChoice:
     def test_returns_mesh_aligned_for_long_vectors(self):
-        choice = best_mesh_choice("collect", 16, 32, 131072, PARAGON)
+        choice = selector_for(PARAGON).best("collect", 16 * 32, 131072,
+                                            mesh_shape=(16, 32))
         # conflict-free mesh strategy expected
         assert all(f == 1.0 for f in choice.conflicts)
 
@@ -116,7 +122,7 @@ class TestBestMeshChoice:
         like the whole-mesh case (section 9)."""
         mesh = Mesh2D(4, 8)
         machine = Machine(mesh, PARAGON)
-        grp = submesh_group(mesh, 1, 2, 2, 4)
+        grp = mesh.submesh_nodes(1, 2, 2, 4)
 
         def prog(env):
             if env.rank not in grp:

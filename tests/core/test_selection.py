@@ -120,7 +120,8 @@ class TestSelectionHeuristics:
         prev_beta = None
         for n in (8, 256, 8192, 262144, 1 << 20):
             s = sel.best("bcast", 30, n).strategy
-            A, B = cm.hybrid_bcast_coefficients(s)
+            # beta coefficient: the beta share of one byte, per beta
+            B = cm.terms("bcast", s, 1)["beta"] / PARAGON.beta
             if prev_beta is not None:
                 assert B <= prev_beta + 1e-12
             prev_beta = B
@@ -133,10 +134,10 @@ class TestSelectionHeuristics:
         MST kernel a small message; scattering the small factor first
         sends a big message through the high-conflict strided kernel."""
         cm = Selector(UNIT, itemsize=1).model
-        big_scatter_first = cm.hybrid_bcast(Strategy((15, 2), "SMC"),
-                                            30_000)
-        small_scatter_first = cm.hybrid_bcast(Strategy((2, 15), "SMC"),
-                                              30_000)
+        big_scatter_first = cm.hybrid("bcast", Strategy((15, 2), "SMC"),
+                                      30_000)
+        small_scatter_first = cm.hybrid("bcast", Strategy((2, 15), "SMC"),
+                                        30_000)
         assert big_scatter_first < small_scatter_first
 
     def test_sscc_order_is_cost_neutral_on_linear_arrays(self):
@@ -145,8 +146,8 @@ class TestSelectionHeuristics:
         under the section 6 model the conflict factor exactly cancels
         the message shrink for the pure scatter/collect hybrids."""
         cm = Selector(UNIT, itemsize=1).model
-        a = cm.hybrid_bcast(Strategy((15, 2), "SSCC"), 30_000)
-        b = cm.hybrid_bcast(Strategy((2, 15), "SSCC"), 30_000)
+        a = cm.hybrid("bcast", Strategy((15, 2), "SSCC"), 30_000)
+        b = cm.hybrid("bcast", Strategy((2, 15), "SSCC"), 30_000)
         assert a == pytest.approx(b)
 
 
@@ -329,7 +330,8 @@ class TestBucketingNeverFlips:
                              ids=["unit", "paragon"])
     @pytest.mark.parametrize("p", [7, 30])
     def test_bucketed_winner_never_meaningfully_loses(self, params, p):
-        from repro.core.selection import OPERATIONS, length_bucket
+        from repro.core.selection import length_bucket
+        from repro.core.strategy import OPERATIONS
         sel = Selector(params, itemsize=8)
         for op in OPERATIONS:
             for n in self._lengths():

@@ -6,9 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import (Strategy, collect_candidates, mst_strategy,
-                        ordered_factorizations, reduce_scatter_candidates,
-                        scatter_collect_strategy, smc_candidates)
+from repro.core import (Strategy, candidates, family_ops,
+                        ordered_factorizations)
 
 
 class TestStrategy:
@@ -48,43 +47,88 @@ class TestStrategy:
             Strategy((0, 4), "SC")
 
 
+SMC = ("bcast", "reduce", "allreduce")
+
+
 class TestFamilyValidation:
     def test_smc_family_accepts(self):
-        Strategy((30,), "M").check_smc()
-        Strategy((30,), "SC").check_smc()
-        Strategy((2, 15), "SMC").check_smc()
-        Strategy((2, 3, 5), "SSMCC").check_smc()
-        Strategy((5, 6), "SSCC").check_smc()
+        for op in SMC:
+            Strategy((30,), "M").check(op)
+            Strategy((30,), "SC").check(op)
+            Strategy((2, 15), "SMC").check(op)
+            Strategy((2, 3, 5), "SSMCC").check(op)
+            Strategy((5, 6), "SSCC").check(op)
 
     def test_smc_family_rejects(self):
-        with pytest.raises(ValueError):
-            Strategy((2, 3, 5), "SSCC").check_smc()  # dims/ops mismatch
-        with pytest.raises(ValueError):
-            Strategy((2, 15), "SMCC").check_smc()    # unbalanced
-        with pytest.raises(ValueError):
-            Strategy((4,), "").check_smc()
+        for op in SMC:
+            with pytest.raises(ValueError):
+                Strategy((2, 3, 5), "SSCC").check(op)  # dims/ops mismatch
+            with pytest.raises(ValueError):
+                Strategy((2, 15), "SMCC").check(op)    # unbalanced
+            with pytest.raises(ValueError):
+                Strategy((4,), "").check(op)
 
     def test_collect_family(self):
-        Strategy((4, 8), "CC").check_collect()
-        Strategy((4, 8), "MC").check_collect()
-        Strategy((32,), "M").check_collect()
+        Strategy((4, 8), "CC").check("collect")
+        Strategy((4, 8), "MC").check("collect")
+        Strategy((32,), "M").check("collect")
         with pytest.raises(ValueError):
-            Strategy((4, 8), "SC").check_collect()
+            Strategy((4, 8), "SC").check("collect")
         with pytest.raises(ValueError):
-            Strategy((4, 8), "CM").check_collect()  # kernel not innermost
+            Strategy((4, 8), "CM").check("collect")  # kernel not innermost
 
     def test_reduce_scatter_family(self):
-        Strategy((4, 8), "SS").check_reduce_scatter()
-        Strategy((4, 8), "SM").check_reduce_scatter()
-        Strategy((32,), "M").check_reduce_scatter()
+        Strategy((4, 8), "SS").check("reduce_scatter")
+        Strategy((4, 8), "SM").check("reduce_scatter")
+        Strategy((32,), "M").check("reduce_scatter")
         with pytest.raises(ValueError):
-            Strategy((4, 8), "SC").check_reduce_scatter()
+            Strategy((4, 8), "SC").check("reduce_scatter")
         with pytest.raises(ValueError):
-            Strategy((4, 8), "MS").check_reduce_scatter()
+            Strategy((4, 8), "MS").check("reduce_scatter")
+
+    def test_unknown_operation(self):
+        with pytest.raises(KeyError, match="gossip"):
+            Strategy((4,), "M").check("gossip")
+        with pytest.raises(KeyError):
+            family_ops("scatter", 1)
 
     def test_canonical_helpers(self):
-        assert mst_strategy(30) == Strategy((30,), "M")
-        assert scatter_collect_strategy(8) == Strategy((8,), "SC")
+        """Section 5's compositions are the k = 1 family forms."""
+        assert family_ops("bcast", 1) == ("SC", "M")
+        assert family_ops("collect", 1) == ("C", "M")
+        assert family_ops("reduce_scatter", 1) == ("S", "M")
+        assert family_ops("allreduce", 3) == ("SSSCCC", "SSMCC")
+        assert family_ops("collect", 3) == ("CCC", "MCC")
+        assert family_ops("reduce_scatter", 3) == ("SSS", "SSM")
+
+
+class TestStages:
+    """``stages`` is the one statement of each family's stage order."""
+
+    def test_bcast_family_walks_in_then_out(self):
+        s = Strategy((2, 3, 5), "SSMCC")
+        for op in SMC:
+            assert s.stages(op) == (("S", 0), ("S", 1), ("M", 2),
+                                    ("C", 1), ("C", 0))
+        assert Strategy((5, 6), "SSCC").stages("bcast") == (
+            ("S", 0), ("S", 1), ("C", 1), ("C", 0))
+        assert Strategy((30,), "M").stages("reduce") == (("M", 0),)
+
+    def test_collect_merges_contiguous_dim_first(self):
+        assert Strategy((4, 2, 3), "MCC").stages("collect") == (
+            ("M", 0), ("C", 1), ("C", 2))
+        assert Strategy((4, 8), "CC").stages("collect") == (
+            ("C", 0), ("C", 1))
+
+    def test_reduce_scatter_splits_outermost_dim_first(self):
+        assert Strategy((4, 2, 3), "SSM").stages("reduce_scatter") == (
+            ("S", 2), ("S", 1), ("M", 0))
+        assert Strategy((4, 8), "SS").stages("reduce_scatter") == (
+            ("S", 1), ("S", 0))
+
+    def test_stages_validate(self):
+        with pytest.raises(ValueError):
+            Strategy((4, 8), "SC").stages("collect")
 
 
 class TestFactorizations:
@@ -120,7 +164,7 @@ class TestFactorizations:
 
 class TestCandidateSets:
     def test_smc_candidates_cover_table2(self):
-        cands = {(s.dims, s.ops) for s in smc_candidates(30)}
+        cands = {(s.dims, s.ops) for s in candidates("bcast", 30)}
         for dims, ops in [((30,), "M"), ((30,), "SC"), ((2, 15), "SMC"),
                           ((2, 15), "SSCC"), ((3, 10), "SMC"),
                           ((5, 6), "SSCC"), ((2, 3, 5), "SSMCC")]:
@@ -129,27 +173,34 @@ class TestCandidateSets:
     def test_all_candidates_valid_and_unique(self):
         for p in (12, 30, 64):
             seen = set()
-            for s in smc_candidates(p):
-                s.check_smc()
+            for s in candidates("bcast", p):
+                s.check("bcast")
                 assert s.p == p
                 key = (s.dims, s.ops)
                 assert key not in seen
                 seen.add(key)
 
     def test_collect_candidates_valid(self):
-        for s in collect_candidates(24):
-            s.check_collect()
+        for s in candidates("collect", 24):
+            s.check("collect")
             assert s.p == 24
 
     def test_reduce_scatter_candidates_valid(self):
-        for s in reduce_scatter_candidates(24):
-            s.check_reduce_scatter()
+        for s in candidates("reduce_scatter", 24):
+            s.check("reduce_scatter")
             assert s.p == 24
 
     def test_prime_p_still_has_strategies(self):
         """Section 6: prime node counts limit hybrids but the pure
         algorithms must remain available."""
-        cands = smc_candidates(13)
-        ops = {(s.dims, s.ops) for s in cands}
-        assert ((13,), "M") in ops
-        assert ((13,), "SC") in ops
+        for op, long_ops in (("bcast", "SC"), ("collect", "C"),
+                             ("reduce_scatter", "S")):
+            ops = {(s.dims, s.ops) for s in candidates(op, 13)}
+            assert ops == {((13,), "M"), ((13,), long_ops)}
+
+    def test_every_family_form_of_every_factorization(self):
+        for op in ("allreduce", "collect", "reduce_scatter"):
+            got = {(s.dims, s.ops) for s in candidates(op, 24)}
+            want = {(dims, ops) for dims in ordered_factorizations(24, 3)
+                    for ops in family_ops(op, len(dims))}
+            assert got == want

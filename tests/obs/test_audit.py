@@ -10,7 +10,7 @@ import pytest
 from repro.core import api
 from repro.obs.audit import (BUILDING_BLOCKS, ChannelShare, ConflictVerdict,
                              audit_run, contended_channels, drift_from_runs,
-                             fit_drift, predicted_terms, run_block_primitive,
+                             fit_drift, run_block_primitive,
                              verify_building_blocks)
 from repro.chaos.generator import ChaosCase
 from repro.sim import LinearArray, Machine, PARAGON, UNIT
@@ -155,8 +155,9 @@ class TestPredictedTerms:
         from repro.core.costmodel import CostModel
         from repro.core.strategy import Strategy
         s = Strategy((3, 4), "SMC")
-        terms = predicted_terms(PARAGON, 8, "bcast", s, 4096)
-        full = CostModel(PARAGON, itemsize=8).hybrid("bcast", s, 4096)
+        cm = CostModel(PARAGON, itemsize=8)
+        terms = cm.terms("bcast", s, 4096)
+        full = cm.hybrid("bcast", s, 4096)
         assert sum(terms.values()) == pytest.approx(full, rel=1e-12)
         assert set(terms) == {"alpha", "beta", "gamma", "overhead"}
         assert terms["gamma"] == 0.0  # bcast does no combining

@@ -5,7 +5,7 @@ import time
 
 import pytest
 
-from repro.analysis import fit_alpha_beta
+from repro.analysis import aggregate_trials, fit_alpha_beta
 from repro.core.params import MachineParams, PARAGON
 from repro.runtime import ProcessMachine
 from repro.runtime import profile as profile_mod
@@ -184,7 +184,10 @@ class TestRoundTripKnownConstants:
     def test_runtime_recovers_injected_constants(self):
         """Satellite: a machine with *known* constants — injected echo
         delays far above the real transport's own cost — is recovered
-        by the ping-pong fit within tolerance on real processes."""
+        by the ping-pong fit within tolerance on real processes.
+
+        Host noise only ever lengthens a round trip, so each length
+        keeps the fastest of three trials (the ``"min"`` estimator)."""
         alpha_true, beta_true = 0.03, 1e-6   # 30 ms, 1 MB/s
         machine = ProcessMachine(2, use_profile=False, timeout=60)
         samples = []
@@ -192,8 +195,8 @@ class TestRoundTripKnownConstants:
             prog = pingpong_prog(
                 nbytes, reps=3,
                 echo_delay_s=2.0 * (alpha_true + nbytes * beta_true))
-            res = machine.run(prog)
-            samples.append((nbytes, res.results[0]))
+            trials = [machine.run(prog).results[0] for _ in range(3)]
+            samples.append((nbytes, aggregate_trials(trials, "min")))
         alpha, beta = fit_alpha_beta(samples)
         assert alpha == pytest.approx(alpha_true, rel=0.25)
         assert beta == pytest.approx(beta_true, rel=0.25)
