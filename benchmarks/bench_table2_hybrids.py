@@ -5,6 +5,7 @@ and checks the eight rows that are consistent with the paper's own
 general formula (the scanned ninth row is a known misprint; see
 EXPERIMENTS.md)."""
 
+import math
 import os
 
 import pytest
@@ -110,9 +111,15 @@ def test_full_candidate_enumeration(once, results_dir, report):
 
     # Pareto-optimal set: strategies not dominated in both alpha and
     # beta.  A real latency/bandwidth trade-off needs several of them.
+    # Coefficients within a relative 1e-9 count as equal, so a last-ulp
+    # difference in how a coefficient is summed cannot move a strategy
+    # on or off the frontier.
+    def lt(a, b):
+        return a < b and not math.isclose(a, b, rel_tol=1e-9)
+
     def dominated(r):
-        return any(o[1] <= r[1] and o[2] <= r[2]
-                   and (o[1] < r[1] or o[2] < r[2]) for o in rows)
+        return any(not lt(r[1], o[1]) and not lt(r[2], o[2])
+                   and (lt(o[1], r[1]) or lt(o[2], r[2])) for o in rows)
 
     frontier = [r for r in rows if not dominated(r)]
     report("\nPareto frontier: " +

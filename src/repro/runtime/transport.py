@@ -1,7 +1,7 @@
 """Transport layer for the real multi-process backend.
 
-A transport moves pickled ``(tag, payload)`` frames between rank
-processes with **per-pair FIFO ordering** — the delivery guarantee the
+A transport moves ``(tag, payload)`` frames between rank processes
+with **per-pair FIFO ordering** — the delivery guarantee the
 matching rule of :mod:`repro.core.protocol` is built on.  Matching
 itself (``(source, tag)`` FIFO) lives in
 :class:`~repro.runtime.env.ProcessEnv`; the transport only promises
@@ -16,6 +16,18 @@ Two implementations share the per-rank interface:
   same interface, for multi-host use (addresses are exchanged through
   a rendezvous listener, then the full mesh is wired pairwise).
 
+Both put a frame on the wire the same way (:class:`FramedConnection`):
+the frame is pickled with protocol 5, and every contiguous buffer in it
+(a C- or F-order NumPy array's data) is taken out of band.  A small
+header — the buffer count, each buffer's byte size, then the pickle
+bytes — goes out as one ``send_bytes`` message, and each buffer's raw
+bytes follow it straight to the connection's file descriptor.  The
+receiver reads each buffer with ``os.readv`` into a fresh
+``np.empty(size, np.uint8)`` and rebuilds the frame with
+``pickle.loads(head, buffers=...)``, so an array is copied once into
+the kernel and once out of it.  Everything else (scalars, lists, object
+arrays, strided views) stays in band in the same pickle.
+
 Sends are **eager and buffered**: ``RankTransport.send`` enqueues the
 frame on an unbounded outbox drained by a background writer thread, so
 a rank can post arbitrarily large ``isend``s without blocking even
@@ -26,15 +38,66 @@ connections, which is what unblocks its peers' writers.)
 
 from __future__ import annotations
 
+import os
+import pickle
+import socket
+import struct
 import threading
 import time
 from collections import deque
 from multiprocessing.connection import Client, Connection, Listener, wait
 from typing import Any, Dict, List, Optional, Tuple
 
+import numpy as np
+
 
 class TransportError(RuntimeError):
     """A transport-level failure (peer vanished, wiring failed)."""
+
+
+class FramedConnection:
+    """One peer connection carrying frames with out-of-band array data.
+
+    The wire format of a frame is one ``send_bytes`` message holding
+    ``!I`` (buffer count), ``!Q`` per buffer (its byte size) and the
+    protocol-5 pickle, followed by the buffers' raw bytes in order.
+    Received buffers are fresh, writable (unless the sender's array
+    was read-only) and share no memory with the sender.
+    """
+
+    def __init__(self, conn: Connection):
+        self._conn = conn
+        self._fd = conn.fileno()
+        self.poll = conn.poll
+        self.fileno = conn.fileno
+        self.close = conn.close
+
+    def send(self, frame: Any) -> None:
+        buffers: List[pickle.PickleBuffer] = []
+        head = pickle.dumps(frame, protocol=5,
+                            buffer_callback=buffers.append)
+        views = [b.raw() for b in buffers]
+        self._conn.send_bytes(
+            struct.pack(f"!I{len(views)}Q", len(views),
+                        *(v.nbytes for v in views)) + head)
+        for view in views:
+            while view:
+                view = view[os.write(self._fd, view):]
+
+    def recv(self) -> Any:
+        data = self._conn.recv_bytes()
+        (count,) = struct.unpack_from("!I", data)
+        sizes = struct.unpack_from(f"!{count}Q", data, 4)
+        buffers = [np.empty(size, np.uint8) for size in sizes]
+        for buf in buffers:
+            view = memoryview(buf)
+            while view:
+                n = os.readv(self._fd, [view])
+                if not n:
+                    raise EOFError("peer closed inside a frame")
+                view = view[n:]
+        return pickle.loads(memoryview(data)[4 + 8 * count:],
+                            buffers=buffers)
 
 
 class RankTransport:
@@ -51,9 +114,10 @@ class RankTransport:
                  conns: Dict[int, Connection]):
         self.rank = rank
         self.nranks = nranks
-        self._conns = dict(conns)
+        self._conns = {peer: FramedConnection(c)
+                       for peer, c in conns.items()}
         self._peer_of = {id(c): peer for peer, c in self._conns.items()}
-        self._open: List[Connection] = list(self._conns.values())
+        self._open: List[FramedConnection] = list(self._conns.values())
         self._inbox: deque = deque()
         self._outbox: deque = deque()
         self._cv = threading.Condition()
@@ -207,6 +271,7 @@ class TcpMesh:
     address map back; the rendezvous connections themselves become the
     ``0 <-> i`` channels.  Remaining pairs are wired lower-rank-accepts
     / higher-rank-connects, each connection labelled by a hello frame.
+    Every socket has Nagle's algorithm off (``TCP_NODELAY``).
 
     Localhost by default; the same wiring works across hosts when the
     rendezvous address is routable (multi-host launch, docs/runtime.md).
@@ -265,4 +330,10 @@ class TcpMesh:
                         f"rank {rank}: unexpected wiring frame {marker!r}")
                 conns[peer] = c
             my_listener.close()
+        for c in conns.values():
+            # A frame is a header write then buffer writes; with Nagle's
+            # algorithm on, the second waits for the peer's delayed ACK.
+            with socket.fromfd(c.fileno(), socket.AF_INET,
+                               socket.SOCK_STREAM) as s:
+                s.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         return RankTransport(rank, nranks_total, conns)
