@@ -25,7 +25,7 @@ from repro.analysis import format_table, human_bytes, write_csv
 from repro.baselines.nx import nx_bcast
 from repro.core import CostModel, Strategy, api
 from repro.core.context import CollContext
-from repro.core.hybrid import hybrid_bcast, hybrid_collect
+from repro.core import hybrid
 from repro.sim import LinearArray, Machine, Mesh2D, PARAGON, UNIT
 
 
@@ -39,8 +39,8 @@ class TestStageOrderAblation:
         def prog(env, dims):
             ctx = CollContext(env)
             buf = np.zeros(n) if env.rank == 0 else None
-            out = yield from hybrid_bcast(ctx, buf, 0,
-                                          Strategy(dims, "SMC"), total=n)
+            out = yield from hybrid.run(ctx, "bcast", buf,
+                                        Strategy(dims, "SMC"), total=n)
             assert len(out) == n
             return True
 
@@ -71,7 +71,7 @@ class TestMeshLatencyAblation:
         def prog(env, strategy):
             ctx = CollContext(env)
             mine = np.full(1, float(env.rank))
-            out = yield from hybrid_collect(ctx, mine, strategy)
+            out = yield from hybrid.run(ctx, "collect", mine, strategy)
             assert len(out) == 512
             return True
 
@@ -106,7 +106,7 @@ class TestLinkCapacityAblation:
         def prog(env):
             ctx = CollContext(env)
             buf = np.zeros(n) if env.rank == 0 else None
-            out = yield from hybrid_bcast(ctx, buf, 0, s, total=n)
+            out = yield from hybrid.run(ctx, "bcast", buf, s, total=n)
             return len(out) == n
 
         t = once(lambda: machine.run(prog).time)

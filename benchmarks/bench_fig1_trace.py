@@ -14,7 +14,7 @@ import pytest
 from repro.analysis import format_table, write_csv
 from repro.core import Strategy
 from repro.core.context import CollContext
-from repro.core.hybrid import hybrid_bcast
+from repro.core import hybrid
 from repro.sim import LinearArray, Machine, UNIT
 
 STRATEGY = Strategy((2, 2, 3), "SSMCC")
@@ -28,7 +28,7 @@ def run_traced():
     def prog(env):
         ctx = CollContext(env)
         buf = x.copy() if env.rank == 0 else None
-        out = yield from hybrid_bcast(ctx, buf, 0, STRATEGY, total=N)
+        out = yield from hybrid.run(ctx, "bcast", buf, STRATEGY, total=N)
         assert np.array_equal(out, x)
         return True
 

@@ -31,6 +31,7 @@ import random
 from dataclasses import dataclass, field, replace
 from typing import Dict, FrozenSet, Iterable, Optional, Sequence, Tuple
 
+from repro.core.strategy import OPERATIONS
 from repro.sim import (FaultSchedule, Hypercube, LinearArray, Mesh2D, Ring,
                        Torus2D, preset)
 from repro.sim.faults import (ByzantineRank, LinkFault, LinkSlowdown,
@@ -39,7 +40,8 @@ from repro.sim.faults import (ByzantineRank, LinkFault, LinkSlowdown,
 #: every topology class the generator samples (the coverage axis)
 TOPO_CLASSES = ("linear", "ring", "mesh", "torus", "hypercube")
 
-OPS = ("bcast", "reduce", "allreduce", "collect", "reduce_scatter")
+#: every collective the generator samples: the five hybrid operations
+OPS = OPERATIONS
 
 #: fault profiles (the coverage fault-type axis) that
 #: :func:`fault_schedule` builds.  The last three are the

@@ -42,8 +42,7 @@ from .context import CollContext
 # ``classify`` stays a module attribute: perfbench/spans.py wraps
 # ``api.classify`` by name (``Group.structure`` runs it once per group).
 from .groups import classify  # noqa: F401
-from .hybrid import (hybrid_allreduce, hybrid_bcast, hybrid_collect,
-                     hybrid_reduce, hybrid_reduce_scatter)
+from .hybrid import run
 from .primitives_short import mst_bcast, mst_gather, mst_reduce, mst_scatter
 from .selection import selector_for
 from .strategy import Strategy, family_ops
@@ -227,7 +226,8 @@ def bcast(env, buf: Optional[np.ndarray], root: int = 0, *,
             f"buffer dtype {buf.dtype}")
     itemsize = _agreed_itemsize(dtype)
     strategy = resolve_strategy(ctx, "bcast", algorithm, total, itemsize)
-    return (yield from hybrid_bcast(ctx, buf, root, strategy, total=total))
+    return (yield from run(ctx, "bcast", buf, strategy, root=root,
+                           total=total))
 
 
 def reduce(env, vec: np.ndarray, op="sum", root: int = 0, *,
@@ -249,7 +249,7 @@ def reduce(env, vec: np.ndarray, op="sum", root: int = 0, *,
                 else np.dtype(dtype).itemsize)
     strategy = resolve_strategy(ctx, "reduce", algorithm, len(vec),
                                 itemsize)
-    return (yield from hybrid_reduce(ctx, vec, op, root, strategy))
+    return (yield from run(ctx, "reduce", vec, strategy, op=op, root=root))
 
 
 def allreduce(env, vec: np.ndarray, op="sum", *,
@@ -268,7 +268,7 @@ def allreduce(env, vec: np.ndarray, op="sum", *,
                 else np.dtype(dtype).itemsize)
     strategy = resolve_strategy(ctx, "allreduce", algorithm, len(vec),
                                 itemsize)
-    return (yield from hybrid_allreduce(ctx, vec, op, strategy))
+    return (yield from run(ctx, "allreduce", vec, strategy, op=op))
 
 
 def collect(env, myblock: np.ndarray, *,
@@ -288,7 +288,7 @@ def collect(env, myblock: np.ndarray, *,
     itemsize = (myblock.dtype.itemsize if dtype is None
                 else np.dtype(dtype).itemsize)
     strategy = resolve_strategy(ctx, "collect", algorithm, n, itemsize)
-    return (yield from hybrid_collect(ctx, myblock, strategy, sizes=sizes))
+    return (yield from run(ctx, "collect", myblock, strategy, sizes=sizes))
 
 
 def reduce_scatter(env, vec: np.ndarray, op="sum", *,
@@ -309,8 +309,8 @@ def reduce_scatter(env, vec: np.ndarray, op="sum", *,
                 else np.dtype(dtype).itemsize)
     strategy = resolve_strategy(ctx, "reduce_scatter", algorithm, len(vec),
                                 itemsize)
-    return (yield from hybrid_reduce_scatter(ctx, vec, op, strategy,
-                                             sizes=sizes))
+    return (yield from run(ctx, "reduce_scatter", vec, strategy, op=op,
+                           sizes=sizes))
 
 
 def scatter(env, buf: Optional[np.ndarray], root: int = 0, *,

@@ -21,7 +21,9 @@ order and merged in reverse digit order, so each stage's payloads are
 plain array slices — no index shuffling, exactly like the original
 library's Fortran-style buffers.
 
-All functions are SPMD generators to be driven by the simulator (or
+One executor, :func:`run`, walks :meth:`Strategy.stages` for all five
+operations; :data:`_STAGES` says what each ``(operation, letter)`` stage
+runs.  It is an SPMD generator to be driven by the simulator (or
 ``yield from``-ed inside larger programs).
 """
 
@@ -35,9 +37,51 @@ import numpy as np
 from .context import CollContext
 from .ops import get_op
 from .partition import partition_offsets, partition_sizes
-from .primitives_long import bucket_collect, bucket_reduce_scatter
-from .primitives_short import mst_bcast, mst_gather, mst_reduce, mst_scatter
+# the primitives :data:`_STAGES` names, looked up in this module
+from .primitives_long import (bucket_collect,  # noqa: F401
+                              bucket_reduce_scatter)
+from .primitives_short import (mst_bcast, mst_gather,  # noqa: F401
+                               mst_reduce, mst_scatter)
 from .strategy import Strategy
+
+#: (operation, letter) -> (label, phase, primitives, rooted): how a
+#: stage of :meth:`Strategy.stages` runs.  ``primitives`` run in order on
+#: the stage's line (a two-primitive kernel is one stage); they are
+#: names in this module, looked up when the stage runs (so a test can
+#: substitute a faulty primitive for one).  A ``rooted``
+#: stage runs only on the lines through the root's data.  The cost
+#: model prices the same rows (:data:`repro.core.costmodel._STAGE_COSTS`).
+_STAGES = {
+    ("bcast", "S"): ("scatter", "scatter", ("mst_scatter",), True),
+    ("bcast", "M"): ("MST bcast", "kernel", ("mst_bcast",), False),
+    ("bcast", "C"): ("collect", "collect", ("bucket_collect",), False),
+    ("reduce", "S"): ("reduce-scatter", "reduce-scatter",
+                      ("bucket_reduce_scatter",), False),
+    ("reduce", "M"): ("MST reduce", "kernel", ("mst_reduce",), False),
+    ("reduce", "C"): ("gather", "gather", ("mst_gather",), True),
+    ("allreduce", "S"): ("reduce-scatter", "reduce-scatter",
+                         ("bucket_reduce_scatter",), False),
+    ("allreduce", "M"): ("allreduce kernel", "kernel",
+                         ("mst_reduce", "mst_bcast"), False),
+    ("allreduce", "C"): ("collect", "collect", ("bucket_collect",), False),
+    ("collect", "M"): ("collect", "kernel", ("mst_gather", "mst_bcast"),
+                       False),
+    ("collect", "C"): ("collect", "collect", ("bucket_collect",), False),
+    ("reduce_scatter", "S"): ("reduce-scatter", "reduce-scatter",
+                              ("bucket_reduce_scatter",), False),
+    ("reduce_scatter", "M"): ("reduce-scatter", "kernel",
+                              ("mst_reduce", "mst_scatter"), False),
+}
+
+#: the stage arguments each primitive takes (besides line and data)
+_ARGS = {
+    "mst_bcast": ("root",),
+    "mst_scatter": ("root", "sizes"),
+    "mst_gather": ("root", "sizes"),
+    "mst_reduce": ("op", "root"),
+    "bucket_collect": ("sizes",),
+    "bucket_reduce_scatter": ("op", "sizes"),
+}
 
 
 def _digits(rank: int, dims: Sequence[int]) -> List[int]:
@@ -59,12 +103,20 @@ def _line(ctx: CollContext, me: int, digs: Sequence[int],
     return ctx.strided_line(base, stride, dims[i])
 
 
-def _check(ctx: CollContext, strategy: Strategy, operation: str) -> None:
+def check(ctx: CollContext, strategy: Strategy, operation: str,
+          root: int = 0) -> None:
+    """Raise unless ``strategy`` is a legal ``operation`` strategy
+    (KeyError for an unknown operation) covering ``ctx``'s group, and
+    ``root`` is a rank of that group."""
     strategy.check(operation)
     if strategy.p != ctx.size:
         raise ValueError(
             f"strategy {strategy} covers {strategy.p} ranks but the group "
             f"has {ctx.size}")
+    if not 0 <= root < ctx.size:
+        # the digits of a root outside the group (Python's modulo) name
+        # another rank: a reduce to -1 would silently land on rank p-1
+        raise ValueError(f"root {root} outside group of size {ctx.size}")
 
 
 def _piece_len(n: int, dims: Sequence[int], digs: Sequence[int],
@@ -76,269 +128,76 @@ def _piece_len(n: int, dims: Sequence[int], digs: Sequence[int],
     return m
 
 
-# ----------------------------------------------------------------------
-# broadcast family (S...S [M] C...C)
-# ----------------------------------------------------------------------
+def run(ctx: CollContext, operation: str, data: Optional[np.ndarray],
+        strategy: Strategy, *, op=None, root: int = 0,
+        sizes: Optional[Sequence[int]] = None,
+        total: Optional[int] = None) -> Generator:
+    """Run ``operation`` under ``strategy``, one stage of
+    :meth:`Strategy.stages` after another.
 
-def hybrid_bcast(ctx: CollContext, buf: Optional[np.ndarray],
-                 root: int, strategy: Strategy,
-                 total: Optional[int] = None) -> Generator:
-    """Broadcast under an arbitrary ``S^a [M] C^a`` strategy.
+    ``data`` is the root's vector for a broadcast (None elsewhere), this
+    rank's block for a collect, and this rank's whole vector otherwise.
+    ``op`` (default sum) combines; ``root`` is the broadcast's or
+    reduce's root.  A broadcast or reduce splits the vector into nested
+    pieces in digit order; ``total`` (the vector length) must be known
+    at every broadcast rank except the root.  A collect or
+    reduce-scatter moves the rank-order blocks ``sizes`` (default: a
+    collect's blocks all this rank's length, a reduce-scatter's
+    balanced).
 
-    ``total`` (the vector length) must be known at every rank unless this
-    rank is the root.  Returns the full vector on every rank.
+    Returns the full vector on every rank (bcast, allreduce, collect),
+    the combined vector at the root and None elsewhere (reduce), or
+    combined block ``i`` at rank ``i`` (reduce_scatter).
     """
-    _check(ctx, strategy, "bcast")
+    check(ctx, strategy, operation, root)
+    op = get_op("sum" if op is None else op)
     me = ctx.require_member()
     dims = strategy.dims
-    a = strategy.nscatter
-    if total is None:
-        if me != root:
-            raise ValueError("hybrid_bcast needs total= at non-root ranks")
-        total = len(buf)
+    offs = None
+    if operation in ("collect", "reduce_scatter"):
+        p = ctx.size
+        if sizes is None:
+            sizes = ([len(data)] * p if operation == "collect"
+                     else partition_sizes(len(data), p))
+        if len(sizes) != p:
+            raise ValueError(
+                f"sizes has {len(sizes)} entries for group of {p}")
+        offs = partition_offsets(sizes)
+        n = offs[-1]
+    else:
+        if total is None:
+            if operation == "bcast" and me != root:
+                raise ValueError("bcast needs total= at non-root ranks")
+            total = len(data)
+        n = total
     digs = _digits(me, dims)
     rdigs = _digits(root, dims)
-    k = len(dims)
-    op_span = ctx.span_open("bcast", phase="op",
-                            strategy=str(strategy), n=total)
-
-    cur = buf if me == root else None
-
-    # scatter stages, contiguous dimension first
-    for i in range(a):
-        if all(digs[j] == rdigs[j] for j in range(i + 1, k)):
-            yield ctx.mark(f"scatter dim{i + 1} (d={dims[i]})")
-            sp = ctx.span_open(f"scatter dim{i + 1}", phase="scatter",
-                               d=dims[i])
-            line = _line(ctx, me, digs, dims, i)
-            entering = _piece_len(total, dims, digs, i)
-            sizes = partition_sizes(entering, dims[i])
-            cur = yield from mst_scatter(line, cur, root=rdigs[i],
-                                         sizes=sizes)
-            ctx.span_close(sp)
-
-    # short-vector kernel down the last dimension
-    if strategy.has_kernel:
-        yield ctx.mark(f"MST bcast dim{a + 1} (d={dims[a]})")
-        sp = ctx.span_open(f"MST bcast dim{a + 1}", phase="kernel",
-                           d=dims[a])
-        line = _line(ctx, me, digs, dims, a)
-        cur = yield from mst_bcast(line, cur, root=rdigs[a])
-        ctx.span_close(sp)
-
-    # collect stages back out, every line active
-    for i in reversed(range(a)):
-        yield ctx.mark(f"collect dim{i + 1} (d={dims[i]})")
-        sp = ctx.span_open(f"collect dim{i + 1}", phase="collect",
-                           d=dims[i])
-        line = _line(ctx, me, digs, dims, i)
-        entering = _piece_len(total, dims, digs, i)
-        sizes = partition_sizes(entering, dims[i])
-        cur = yield from bucket_collect(line, cur, sizes=sizes)
-        ctx.span_close(sp)
-
-    ctx.span_close(op_span)
-    return cur
-
-
-def hybrid_reduce(ctx: CollContext, vec: np.ndarray, op, root: int,
-                  strategy: Strategy) -> Generator:
-    """Combine-to-one under ``S^a [M] C^a``: bucket reduce-scatters walk
-    in, the MST combine kernel finishes the reduction, gathers walk out.
-    Returns the combined vector at the root, None elsewhere."""
-    _check(ctx, strategy, "reduce")
-    op = get_op(op)
-    me = ctx.require_member()
-    dims = strategy.dims
-    a = strategy.nscatter
-    k = len(dims)
-    n = len(vec)
-    digs = _digits(me, dims)
-    rdigs = _digits(root, dims)
-    op_span = ctx.span_open("reduce", phase="op",
+    op_span = ctx.span_open(operation, phase="op",
                             strategy=str(strategy), n=n)
 
-    cur = vec
-    for i in range(a):
-        yield ctx.mark(f"reduce-scatter dim{i + 1} (d={dims[i]})")
-        sp = ctx.span_open(f"reduce-scatter dim{i + 1}",
-                           phase="reduce-scatter", d=dims[i])
-        line = _line(ctx, me, digs, dims, i)
-        sizes = partition_sizes(len(cur), dims[i])
-        cur = yield from bucket_reduce_scatter(line, cur, op=op, sizes=sizes)
-        ctx.span_close(sp)
-
-    if strategy.has_kernel:
-        yield ctx.mark(f"MST reduce dim{a + 1} (d={dims[a]})")
-        sp = ctx.span_open(f"MST reduce dim{a + 1}", phase="kernel",
-                           d=dims[a])
-        line = _line(ctx, me, digs, dims, a)
-        cur = yield from mst_reduce(line, cur, op=op, root=rdigs[a])
-        if digs[a] != rdigs[a]:
-            cur = None
-        ctx.span_close(sp)
-
-    for i in reversed(range(a)):
-        if all(digs[j] == rdigs[j] for j in range(i + 1, k)):
-            yield ctx.mark(f"gather dim{i + 1} (d={dims[i]})")
-            sp = ctx.span_open(f"gather dim{i + 1}", phase="gather",
-                               d=dims[i])
-            line = _line(ctx, me, digs, dims, i)
-            entering = _piece_len(n, dims, digs, i)
-            sizes = partition_sizes(entering, dims[i])
-            cur = yield from mst_gather(line, cur, root=rdigs[i],
-                                        sizes=sizes)
-            if digs[i] != rdigs[i]:
-                cur = None
-            ctx.span_close(sp)
-
-    ctx.span_close(op_span)
-    return cur
-
-
-def hybrid_allreduce(ctx: CollContext, vec: np.ndarray, op,
-                     strategy: Strategy) -> Generator:
-    """Combine-to-all under ``S^a [M] C^a``: reduce-scatters in, an
-    allreduce kernel (MST combine + MST broadcast) across the last
-    dimension, bucket collects out.  Returns the combined vector on
-    every rank."""
-    _check(ctx, strategy, "allreduce")
-    op = get_op(op)
-    me = ctx.require_member()
-    dims = strategy.dims
-    a = strategy.nscatter
-    n = len(vec)
-    digs = _digits(me, dims)
-    op_span = ctx.span_open("allreduce", phase="op",
-                            strategy=str(strategy), n=n)
-
-    cur = vec
-    for i in range(a):
-        yield ctx.mark(f"reduce-scatter dim{i + 1} (d={dims[i]})")
-        sp = ctx.span_open(f"reduce-scatter dim{i + 1}",
-                           phase="reduce-scatter", d=dims[i])
-        line = _line(ctx, me, digs, dims, i)
-        sizes = partition_sizes(len(cur), dims[i])
-        cur = yield from bucket_reduce_scatter(line, cur, op=op, sizes=sizes)
-        ctx.span_close(sp)
-
-    if strategy.has_kernel:
-        yield ctx.mark(f"allreduce kernel dim{a + 1} (d={dims[a]})")
-        sp = ctx.span_open(f"allreduce kernel dim{a + 1}", phase="kernel",
-                           d=dims[a])
-        line = _line(ctx, me, digs, dims, a)
-        cur = yield from mst_reduce(line, cur, op=op, root=0)
-        cur = yield from mst_bcast(line, cur, root=0)
-        ctx.span_close(sp)
-
-    for i in reversed(range(a)):
-        yield ctx.mark(f"collect dim{i + 1} (d={dims[i]})")
-        sp = ctx.span_open(f"collect dim{i + 1}", phase="collect",
-                           d=dims[i])
-        line = _line(ctx, me, digs, dims, i)
-        entering = _piece_len(n, dims, digs, i)
-        sizes = partition_sizes(entering, dims[i])
-        cur = yield from bucket_collect(line, cur, sizes=sizes)
-        ctx.span_close(sp)
-
-    ctx.span_close(op_span)
-    return cur
-
-
-# ----------------------------------------------------------------------
-# collect family (C^k or M C^{k-1})
-# ----------------------------------------------------------------------
-
-def hybrid_collect(ctx: CollContext, myblock: np.ndarray,
-                   strategy: Strategy,
-                   sizes: Optional[Sequence[int]] = None) -> Generator:
-    """Collect (allgather) under ``C^k`` / ``M C^{k-1}``: merge the
-    contiguous dimension first and walk outward; with ``M``, the
-    innermost merge uses the short kernel (gather + MST broadcast).
-    Returns the full vector on every rank."""
-    _check(ctx, strategy, "collect")
-    me = ctx.require_member()
-    p = ctx.size
-    dims = strategy.dims
-    if sizes is None:
-        sizes = [len(myblock)] * p
-    if len(sizes) != p:
-        raise ValueError(f"sizes has {len(sizes)} entries for group of {p}")
-    offs = partition_offsets(sizes)
-    digs = _digits(me, dims)
-    op_span = ctx.span_open("collect", phase="op",
-                            strategy=str(strategy), n=offs[-1])
-
-    cur = myblock
-    W = 1
-    for i, d in enumerate(dims):
-        yield ctx.mark(f"collect dim{i + 1} (d={d})")
-        kernel = i == 0 and strategy.has_kernel
-        sp = ctx.span_open(f"collect dim{i + 1}",
-                           phase="kernel" if kernel else "collect", d=d)
-        line = _line(ctx, me, digs, dims, i)
-        lbase = (me // (W * d)) * (W * d)
-        stage_sizes = [offs[lbase + (j + 1) * W] - offs[lbase + j * W]
-                       for j in range(d)]
-        if kernel:
-            full = yield from mst_gather(line, cur, root=0,
-                                         sizes=stage_sizes)
-            cur = yield from mst_bcast(line, full, root=0)
-        else:
-            cur = yield from bucket_collect(line, cur, sizes=stage_sizes)
-        ctx.span_close(sp)
-        W *= d
-    ctx.span_close(op_span)
-    return cur
-
-
-# ----------------------------------------------------------------------
-# distributed-combine family (S^k or S^{k-1} M)
-# ----------------------------------------------------------------------
-
-def hybrid_reduce_scatter(ctx: CollContext, vec: np.ndarray, op,
-                          strategy: Strategy,
-                          sizes: Optional[Sequence[int]] = None
-                          ) -> Generator:
-    """Distributed global combine under ``S^k`` / ``S^{k-1} M``: split
-    the outermost dimension first and walk inward; with ``M``, the
-    innermost stage uses the short kernel (MST combine + MST scatter).
-    Rank ``i`` returns combined block ``i``."""
-    _check(ctx, strategy, "reduce_scatter")
-    op = get_op(op)
-    me = ctx.require_member()
-    p = ctx.size
-    dims = strategy.dims
-    if sizes is None:
-        sizes = partition_sizes(len(vec), p)
-    if len(sizes) != p:
-        raise ValueError(f"sizes has {len(sizes)} entries for group of {p}")
-    offs = partition_offsets(sizes)
-    digs = _digits(me, dims)
-    op_span = ctx.span_open("reduce_scatter", phase="op",
-                            strategy=str(strategy), n=offs[-1])
-
-    cur = vec
-    for i in reversed(range(len(dims))):
+    cur = None if operation == "bcast" and me != root else data
+    for letter, i in strategy.stages(operation):
+        label, phase, prims, rooted = _STAGES[operation, letter]
+        if rooted and digs[i + 1:] != rdigs[i + 1:]:
+            continue
         d = dims[i]
-        W = math.prod(dims[:i])
-        yield ctx.mark(f"reduce-scatter dim{i + 1} (d={d})")
-        kernel = i == 0 and strategy.has_kernel
-        sp = ctx.span_open(f"reduce-scatter dim{i + 1}",
-                           phase="kernel" if kernel else "reduce-scatter",
-                           d=d)
+        yield ctx.mark(f"{label} dim{i + 1} (d={d})")
+        sp = ctx.span_open(f"{label} dim{i + 1}", phase=phase, d=d)
         line = _line(ctx, me, digs, dims, i)
-        vbase = (me // (W * d)) * (W * d)
-        base_off = offs[vbase]
-        stage_sizes = [offs[vbase + (j + 1) * W] - offs[vbase + j * W]
-                       for j in range(d)]
-        if kernel:
-            full = yield from mst_reduce(line, cur, op=op, root=0)
-            cur = yield from mst_scatter(line, full, root=0,
-                                         sizes=stage_sizes)
-        else:
-            cur = yield from bucket_reduce_scatter(line, cur, op=op,
-                                                   sizes=stage_sizes)
+        args = {"op": op, "root": rdigs[i]}
+        # an MST bcast or reduce kernel takes no sizes: skip the O(d) list
+        if any("sizes" in _ARGS[name] for name in prims):
+            if offs is None:    # the nested piece this line splits/merges
+                piece = _piece_len(n, dims, digs, i)
+                args["sizes"] = partition_sizes(piece, d)
+            else:               # the line's ranks' blocks, in rank order
+                w = math.prod(dims[:i])
+                base = me - me % (w * d)
+                args["sizes"] = [offs[base + (j + 1) * w]
+                                 - offs[base + j * w] for j in range(d)]
+        for name in prims:
+            cur = yield from globals()[name](
+                line, cur, **{a: args[a] for a in _ARGS[name]})
         ctx.span_close(sp)
     ctx.span_close(op_span)
     return cur

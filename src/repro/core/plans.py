@@ -20,8 +20,7 @@ import numpy as np
 
 from .api import resolve_strategy
 from .context import CollContext
-from .hybrid import (hybrid_allreduce, hybrid_bcast, hybrid_collect,
-                     hybrid_reduce, hybrid_reduce_scatter)
+from .hybrid import check, run
 from .ops import get_op
 from .partition import partition_sizes
 from .strategy import Strategy
@@ -39,7 +38,7 @@ class Plan:
                  root: int = 0, sizes: Optional[Sequence[int]] = None):
         # fail fast: validate the operation and strategy now (KeyError
         # for an unknown operation)
-        strategy.check(operation)
+        check(ctx, strategy, operation, root)
         self.operation = operation
         self.ctx = ctx
         self.n = n
@@ -47,28 +46,12 @@ class Plan:
         self.op = get_op(op) if op is not None else None
         self.root = root
         self.sizes = list(sizes) if sizes is not None else None
-        if strategy.p != ctx.size:
-            raise ValueError(
-                f"strategy {strategy} covers {strategy.p} ranks, group "
-                f"has {ctx.size}")
 
     def __call__(self, data: Optional[np.ndarray]) -> Generator:
         """Execute one instance of the planned collective."""
-        opn = self.operation
-        if opn == "bcast":
-            return (yield from hybrid_bcast(
-                self.ctx, data, self.root, self.strategy, total=self.n))
-        if opn == "reduce":
-            return (yield from hybrid_reduce(
-                self.ctx, data, self.op, self.root, self.strategy))
-        if opn == "allreduce":
-            return (yield from hybrid_allreduce(
-                self.ctx, data, self.op, self.strategy))
-        if opn == "collect":
-            return (yield from hybrid_collect(
-                self.ctx, data, self.strategy, sizes=self.sizes))
-        return (yield from hybrid_reduce_scatter(
-            self.ctx, data, self.op, self.strategy, sizes=self.sizes))
+        return (yield from run(self.ctx, self.operation, data,
+                               self.strategy, op=self.op, root=self.root,
+                               sizes=self.sizes, total=self.n))
 
     def __repr__(self) -> str:
         return (f"Plan({self.operation}, n={self.n}, "

@@ -27,7 +27,7 @@ messages in Table 3.
 
 from __future__ import annotations
 
-from typing import Generator, Optional, Sequence
+from typing import Generator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -36,9 +36,30 @@ from .ops import get_op
 from .partition import partition_offsets, partition_sizes
 
 
-def _split(lo: int, hi: int) -> int:
-    """Split point: left part [lo, mid) is the ceiling half."""
-    return (lo + hi + 1) // 2
+def _path(me: int, p: int, root: int) -> List[Tuple[int, int, int, int]]:
+    """``(lo, mid, r, dest)`` for each level of rank ``me``'s walk down
+    the recursive halving of ``[0, p)`` from ``root``, top level first.
+
+    At each level ``me``'s range ``[lo, hi)`` splits at ``mid``; its
+    root ``r`` and ``dest``, the root of the part without ``r``,
+    exchange the level's one message.  The broadcast and scatter walk
+    the levels top down; the gather and combine walk them bottom up.
+    """
+    if not 0 <= root < p:
+        raise ValueError(f"root {root} outside group of size {p}")
+    out = []
+    lo, hi, r = 0, p, root
+    while hi - lo > 1:
+        mid = (lo + hi + 1) // 2    # [lo, mid) is the ceiling half
+        dest = mid if r < mid else lo
+        out.append((lo, mid, r, dest))
+        if me < mid:
+            hi = mid
+            r = r if r < mid else dest
+        else:
+            lo = mid
+            r = r if r >= mid else dest
+    return out
 
 
 def mst_bcast(ctx: CollContext, buf: Optional[np.ndarray], root: int = 0
@@ -49,24 +70,12 @@ def mst_bcast(ctx: CollContext, buf: Optional[np.ndarray], root: int = 0
     None).  On exit every rank returns the vector.
     """
     me = ctx.require_member()
-    lo, hi = 0, ctx.size
-    r = root
-    if not lo <= root < hi:
-        raise ValueError(f"root {root} outside group of size {ctx.size}")
-    while hi - lo > 1:
+    for _, _, r, dest in _path(me, ctx.size, root):
         yield ctx.overhead()
-        mid = _split(lo, hi)
-        dest = mid if r < mid else lo
         if me == r:
             yield ctx.send(dest, buf)
         elif me == dest:
             buf = yield ctx.recv(r)
-        if me < mid:
-            hi = mid
-            r = r if r < mid else dest
-        else:
-            lo = mid
-            r = r if r >= mid else dest
     return buf
 
 
@@ -84,8 +93,7 @@ def mst_scatter(ctx: CollContext, buf: Optional[np.ndarray], root: int = 0,
     """
     me = ctx.require_member()
     p = ctx.size
-    if not 0 <= root < p:
-        raise ValueError(f"root {root} outside group of size {p}")
+    path = _path(me, p, root)
     if sizes is None:
         if total is None:
             raise ValueError(
@@ -100,13 +108,9 @@ def mst_scatter(ctx: CollContext, buf: Optional[np.ndarray], root: int = 0,
             f"root buffer has {len(buf)} elements, partition covers "
             f"{offs[-1]}")
 
-    lo, hi = 0, p
-    r = root
     data = buf if me == root else None
-    while hi - lo > 1:
+    for lo, mid, r, dest in path:
         yield ctx.overhead()
-        mid = _split(lo, hi)
-        dest = mid if r < mid else lo
         if me == r:
             cut = offs[mid] - offs[lo]
             if r < mid:
@@ -117,12 +121,6 @@ def mst_scatter(ctx: CollContext, buf: Optional[np.ndarray], root: int = 0,
                 data = data[cut:]
         elif me == dest:
             data = yield ctx.recv(r)
-        if me < mid:
-            hi = mid
-            r = r if r < mid else dest
-        else:
-            lo = mid
-            r = r if r >= mid else dest
     return data
 
 
@@ -137,8 +135,7 @@ def mst_gather(ctx: CollContext, myblock: np.ndarray, root: int = 0,
     """
     me = ctx.require_member()
     p = ctx.size
-    if not 0 <= root < p:
-        raise ValueError(f"root {root} outside group of size {p}")
+    path = _path(me, p, root)
     if sizes is None:
         sizes = [len(myblock)] * p
     if len(myblock) != sizes[me]:
@@ -146,17 +143,8 @@ def mst_gather(ctx: CollContext, myblock: np.ndarray, root: int = 0,
             f"rank {me}: block has {len(myblock)} elements, partition "
             f"says {sizes[me]}")
 
-    def walk(lo: int, hi: int, r: int):
-        if hi - lo == 1:
-            return myblock if me == lo else None
-        mid = _split(lo, hi)
-        dest = mid if r < mid else lo
-        lroot = r if r < mid else dest
-        rroot = r if r >= mid else dest
-        if me < mid:
-            data = yield from walk(lo, mid, lroot)
-        else:
-            data = yield from walk(mid, hi, rroot)
+    data = myblock
+    for _, mid, r, dest in reversed(path):
         yield ctx.overhead()
         if me == r:
             part = yield ctx.recv(dest)
@@ -167,9 +155,7 @@ def mst_gather(ctx: CollContext, myblock: np.ndarray, root: int = 0,
         elif me == dest:
             yield ctx.send(r, data)
             data = None
-        return data
-
-    return (yield from walk(0, p, root))
+    return data
 
 
 def mst_reduce(ctx: CollContext, vec: np.ndarray, op=None, root: int = 0
@@ -182,21 +168,8 @@ def mst_reduce(ctx: CollContext, vec: np.ndarray, op=None, root: int = 0
     """
     op = get_op(op if op is not None else "sum")
     me = ctx.require_member()
-    p = ctx.size
-    if not 0 <= root < p:
-        raise ValueError(f"root {root} outside group of size {p}")
-
-    def walk(lo: int, hi: int, r: int):
-        if hi - lo == 1:
-            return vec
-        mid = _split(lo, hi)
-        dest = mid if r < mid else lo
-        lroot = r if r < mid else dest
-        rroot = r if r >= mid else dest
-        if me < mid:
-            data = yield from walk(lo, mid, lroot)
-        else:
-            data = yield from walk(mid, hi, rroot)
+    data = vec
+    for _, _, r, dest in reversed(_path(me, ctx.size, root)):
         yield ctx.overhead()
         if me == r:
             part = yield ctx.recv(dest)
@@ -205,6 +178,4 @@ def mst_reduce(ctx: CollContext, vec: np.ndarray, op=None, root: int = 0
         elif me == dest:
             yield ctx.send(r, data)
             data = None
-        return data
-
-    return (yield from walk(0, p, root))
+    return data

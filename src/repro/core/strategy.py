@@ -13,7 +13,7 @@ intermediate data contiguous and is validated against Table 2.)
 
 One grammar covers all the hybrid families used in this library, and
 this module states it once (:func:`family_ops`, :meth:`Strategy.stages`)
-for the executors, the cost model, the Selector, ``api`` and ``Plan``:
+for the executor, the cost model, the Selector, ``api`` and ``Plan``:
 
 * ``S^a M C^a`` with ``k = a+1`` dims, or ``S^k C^k`` with ``k`` dims —
   the broadcast / combine-to-one / combine-to-all family.  The letters
@@ -97,9 +97,10 @@ class Strategy:
         """``(letter, dim)`` per stage, in execution order, with ``dim``
         the 0-based dimension the stage runs in.
 
-        This is the one statement of each family's stage order: the
-        executors in :mod:`repro.core.hybrid` run it and
-        :meth:`~repro.core.costmodel.CostModel.hybrid` prices it.
+        This is the one statement of each family's stage order:
+        :func:`repro.core.hybrid.run` executes it and
+        :meth:`~repro.core.costmodel.CostModel.hybrid` prices it, each
+        through an ``(operation, letter)`` table with the same rows.
         """
         return _stages(self, operation)
 

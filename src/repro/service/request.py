@@ -24,11 +24,12 @@ from typing import Any, Dict, Optional, Tuple
 
 import numpy as np
 
+from repro.core.strategy import OPERATIONS
+
 #: operations the service accepts: the five Selector-priced collectives
 #: of Table 1 (scatter/gather have no strategy choice and no fusion
 #: upside — submit them as bcast/collect workloads instead).
-SERVICE_OPS = ("bcast", "reduce", "allreduce", "collect",
-               "reduce_scatter")
+SERVICE_OPS = OPERATIONS
 
 #: ops the fusion planner may combine: element-wise (allreduce/reduce)
 #: and root-sourced movement (bcast).  collect/reduce_scatter have

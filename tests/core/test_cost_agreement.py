@@ -13,8 +13,7 @@ import pytest
 
 from repro.core import CostModel, Strategy
 from repro.core.context import CollContext
-from repro.core.hybrid import (hybrid_allreduce, hybrid_bcast,
-                               hybrid_collect, hybrid_reduce_scatter)
+from repro.core import hybrid
 from repro.sim import LinearArray, Machine, Mesh2D, UNIT
 
 CM = CostModel(UNIT, itemsize=8)
@@ -26,7 +25,7 @@ def sim_bcast(machine, p, strategy, n):
     def prog(env):
         ctx = CollContext(env)
         buf = x.copy() if env.rank == 0 else None
-        out = yield from hybrid_bcast(ctx, buf, 0, strategy, total=n)
+        out = yield from hybrid.run(ctx, "bcast", buf, strategy, total=n)
         assert np.array_equal(out, x)
         return True
 
@@ -59,8 +58,8 @@ class TestExactAgreement:
         def prog(env):
             ctx = CollContext(env)
             mine = np.zeros(nb)
-            return (yield from hybrid_collect(ctx, mine,
-                                              Strategy((p,), "C")))
+            return (yield from hybrid.run(ctx, "collect", mine,
+                                          Strategy((p,), "C")))
 
         t = machine_time = m.run(prog).time
         assert t == pytest.approx(CM.bucket_collect(p, nb * p))
@@ -72,8 +71,9 @@ class TestExactAgreement:
 
         def prog(env):
             ctx = CollContext(env)
-            return (yield from hybrid_reduce_scatter(
-                ctx, np.zeros(n), "sum", Strategy((p,), "S")))
+            return (yield from hybrid.run(
+                ctx, "reduce_scatter", np.zeros(n), Strategy((p,), "S"),
+                op="sum"))
 
         assert m.run(prog).time == pytest.approx(
             CM.bucket_reduce_scatter(p, n))
@@ -85,8 +85,9 @@ class TestExactAgreement:
 
         def prog(env):
             ctx = CollContext(env)
-            return (yield from hybrid_allreduce(
-                ctx, np.zeros(n), "sum", Strategy((p,), "SC")))
+            return (yield from hybrid.run(
+                ctx, "allreduce", np.zeros(n), Strategy((p,), "SC"),
+                op="sum"))
 
         assert m.run(prog).time == pytest.approx(
             CM.hybrid("allreduce", Strategy((p,), "SC"), n))

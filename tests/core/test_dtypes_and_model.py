@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from repro.core import CostModel, Strategy, api, candidates
 from repro.core.context import CollContext
-from repro.core.hybrid import hybrid_bcast
+from repro.core import hybrid
 from repro.sim import LinearArray, Machine, PARAGON, UNIT
 
 
@@ -87,7 +87,7 @@ class TestModelVsSimulationRandom:
         def prog(env):
             ctx = CollContext(env)
             buf = x.copy() if env.rank == 0 else None
-            out = yield from hybrid_bcast(ctx, buf, 0, strategy, total=n)
+            out = yield from hybrid.run(ctx, "bcast", buf, strategy, total=n)
             assert np.array_equal(out, x)
             return True
 
@@ -111,7 +111,7 @@ class TestModelVsSimulationRandom:
         def prog(env, strategy):
             ctx = CollContext(env)
             buf = np.zeros(n) if env.rank == 0 else None
-            out = yield from hybrid_bcast(ctx, buf, 0, strategy, total=n)
+            out = yield from hybrid.run(ctx, "bcast", buf, strategy, total=n)
             return len(out) == n
 
         t_cheap = machine.run(prog, cheap).time

@@ -9,9 +9,7 @@ from hypothesis import strategies as st
 
 from repro.core import Strategy, api, candidates, partition_sizes
 from repro.core.context import CollContext
-from repro.core.hybrid import (hybrid_allreduce, hybrid_bcast,
-                               hybrid_collect, hybrid_reduce,
-                               hybrid_reduce_scatter)
+from repro.core import hybrid
 from repro.sim import LinearArray, Machine, UNIT
 
 from .conftest import run_linear
@@ -41,7 +39,7 @@ class TestHybridBcast:
         def prog(env):
             ctx = CollContext(env)
             buf = x.copy() if env.rank == 0 else None
-            return (yield from hybrid_bcast(ctx, buf, 0, s, total=n))
+            return (yield from hybrid.run(ctx, "bcast", buf, s, total=n))
 
         run = run_linear(p, prog)
         for res in run.results:
@@ -56,7 +54,8 @@ class TestHybridBcast:
         def prog(env):
             ctx = CollContext(env)
             buf = x.copy() if env.rank == root else None
-            return (yield from hybrid_bcast(ctx, buf, root, s, total=n))
+            return (yield from hybrid.run(ctx, "bcast", buf, s, root=root,
+                                          total=n))
 
         run = run_linear(12, prog)
         for res in run.results:
@@ -70,7 +69,8 @@ class TestHybridBcast:
         def prog(env):
             ctx = CollContext(env)
             buf = x.copy() if env.rank == 7 else None
-            return (yield from hybrid_bcast(ctx, buf, 7, s, total=n))
+            return (yield from hybrid.run(ctx, "bcast", buf, s, root=7,
+                                          total=n))
 
         run = run_linear(12, prog)
         for res in run.results:
@@ -81,8 +81,8 @@ class TestHybridBcast:
 
         def prog(env):
             ctx = CollContext(env)
-            return (yield from hybrid_bcast(ctx, np.zeros(4), 0, s,
-                                            total=4))
+            return (yield from hybrid.run(ctx, "bcast", np.zeros(4), s,
+                                          total=4))
 
         with pytest.raises(ValueError, match="covers 6"):
             run_linear(12, prog)
@@ -93,7 +93,7 @@ class TestHybridBcast:
         def prog(env):
             ctx = CollContext(env)
             buf = np.zeros(8) if env.rank == 0 else None
-            return (yield from hybrid_bcast(ctx, buf, 0, s))
+            return (yield from hybrid.run(ctx, "bcast", buf, s))
 
         with pytest.raises(ValueError, match="total"):
             run_linear(4, prog)
@@ -109,7 +109,7 @@ class TestHybridBcast:
         def prog(env):
             ctx = CollContext(env)
             buf = x.copy() if env.rank == 0 else None
-            return (yield from hybrid_bcast(ctx, buf, 0, s, total=n))
+            return (yield from hybrid.run(ctx, "bcast", buf, s, total=n))
 
         machine = Machine(LinearArray(12), UNIT, trace=True)
         run = machine.run(prog)
@@ -144,7 +144,8 @@ class TestHybridReduce:
         def prog(env):
             ctx = CollContext(env)
             v = np.arange(n, dtype=np.float64) * (env.rank + 1)
-            return (yield from hybrid_reduce(ctx, v, "sum", root, s))
+            return (yield from hybrid.run(ctx, "reduce", v, s, op="sum",
+                                          root=root))
 
         run = run_linear(p, prog)
         ref = np.arange(n, dtype=np.float64) * (p * (p + 1) / 2)
@@ -159,10 +160,24 @@ class TestHybridReduce:
         def prog(env):
             ctx = CollContext(env)
             v = np.full(12, float(env.rank))
-            return (yield from hybrid_reduce(ctx, v, "min", 2, s))
+            return (yield from hybrid.run(ctx, "reduce", v, s, op="min",
+                                          root=2))
 
         run = run_linear(6, prog)
         assert np.allclose(run.results[2], 0.0)
+
+    @pytest.mark.parametrize("operation,root", [("bcast", 12),
+                                                ("reduce", -1)])
+    def test_root_outside_group_rejected(self, operation, root):
+        s = Strategy((3, 4), "SSCC")
+
+        def prog(env):
+            ctx = CollContext(env)
+            return (yield from hybrid.run(ctx, operation, np.ones(12), s,
+                                          root=root, total=12))
+
+        with pytest.raises(ValueError, match="outside group of size 12"):
+            run_linear(12, prog)
 
 
 class TestHybridAllreduce:
@@ -181,7 +196,7 @@ class TestHybridAllreduce:
         def prog(env):
             ctx = CollContext(env)
             v = np.arange(n, dtype=np.float64) * (env.rank + 1)
-            return (yield from hybrid_allreduce(ctx, v, "sum", s))
+            return (yield from hybrid.run(ctx, "allreduce", v, s, op="sum"))
 
         run = run_linear(p, prog)
         ref = np.arange(n, dtype=np.float64) * (p * (p + 1) / 2)
@@ -206,7 +221,7 @@ class TestHybridCollect:
         def prog(env):
             ctx = CollContext(env)
             mine = np.full(nb, float(env.rank))
-            return (yield from hybrid_collect(ctx, mine, s))
+            return (yield from hybrid.run(ctx, "collect", mine, s))
 
         run = run_linear(p, prog)
         ref = np.concatenate([np.full(nb, float(i)) for i in range(p)])
@@ -220,7 +235,8 @@ class TestHybridCollect:
         def prog(env):
             ctx = CollContext(env)
             mine = np.full(sizes[env.rank], float(env.rank))
-            return (yield from hybrid_collect(ctx, mine, s, sizes=sizes))
+            return (yield from hybrid.run(ctx, "collect", mine, s,
+                                          sizes=sizes))
 
         run = run_linear(6, prog)
         ref = np.concatenate([np.full(sz, float(i))
@@ -247,7 +263,8 @@ class TestHybridReduceScatter:
         def prog(env):
             ctx = CollContext(env)
             v = np.arange(n, dtype=np.float64) * (env.rank + 1)
-            return (yield from hybrid_reduce_scatter(ctx, v, "sum", s))
+            return (yield from hybrid.run(ctx, "reduce_scatter", v, s,
+                                          op="sum"))
 
         run = run_linear(p, prog)
         full = np.arange(n, dtype=np.float64) * (p * (p + 1) / 2)
@@ -264,8 +281,8 @@ class TestHybridReduceScatter:
         def prog(env):
             ctx = CollContext(env)
             v = np.arange(n, dtype=np.float64)
-            return (yield from hybrid_reduce_scatter(ctx, v, "sum", s,
-                                                     sizes=sizes))
+            return (yield from hybrid.run(ctx, "reduce_scatter", v, s,
+                                          op="sum", sizes=sizes))
 
         run = run_linear(6, prog)
         full = np.arange(n, dtype=np.float64) * 6
@@ -287,7 +304,8 @@ class TestPropertyBased:
         def prog(env):
             ctx = CollContext(env)
             buf = x.copy() if env.rank == root else None
-            return (yield from hybrid_bcast(ctx, buf, root, s, total=n))
+            return (yield from hybrid.run(ctx, "bcast", buf, s, root=root,
+                                          total=n))
 
         run = run_linear(p, prog)
         assert all(np.array_equal(r, x) for r in run.results)
@@ -302,14 +320,14 @@ class TestPropertyBased:
         def prog(env):
             ctx = CollContext(env)
             v = np.full(n, float(env.rank + 1))
-            return (yield from hybrid_allreduce(ctx, v, "sum", s))
+            return (yield from hybrid.run(ctx, "allreduce", v, s, op="sum"))
 
         run = run_linear(p, prog)
         for res in run.results:
             assert np.allclose(res, p * (p + 1) / 2)
 
 
-#: the span phase each executor records for a stage letter
+#: the span phase the executor records for each operation's stage letter
 STAGE_PHASES = {
     "bcast": {"S": "scatter", "M": "kernel", "C": "collect"},
     "reduce": {"S": "reduce-scatter", "M": "kernel", "C": "gather"},
@@ -320,8 +338,9 @@ STAGE_PHASES = {
 
 
 class TestExecutorsRunTheStageTable:
-    """The executors keep their own loops; this pins each of them to
-    ``Strategy.stages``, the order the cost model prices."""
+    """``hybrid.run`` walks ``Strategy.stages`` through its stage
+    table; this pins the spans it records at the root to that order,
+    the one the cost model prices."""
 
     @pytest.mark.parametrize("operation", sorted(STAGE_PHASES))
     @pytest.mark.parametrize("p", [6, 8, 12, 30])

@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.core import Strategy
+from repro.core import Strategy, api
 from repro.core.plans import Plan, make_plan
+from repro.core.strategy import OPERATIONS
 from repro.sim import LinearArray, Machine, PARAGON, UNIT
 
 from .conftest import run_linear
@@ -101,22 +102,39 @@ class TestPlanExecution:
         res = run_linear(p, prog).results
         assert all(v == nb * sum(range(p)) for v in res)
 
-    def test_plan_matches_unplanned_time(self):
-        """Planning must not change the communication cost — the same
-        strategy runs either way."""
-        n = 4096
+    @pytest.mark.parametrize("operation", OPERATIONS)
+    def test_plan_matches_unplanned_time(self, operation):
+        """Planning must not change the communication or the result —
+        the same strategy runs either way, off-zero roots and uneven
+        blocks included."""
+        p, n, root = 8, 4096, 5
+        sizes = [600, 0, 1000, 24, 512, 900, 60, 1000]
+        kwargs = {"bcast": {"root": root}, "reduce": {"root": root},
+                  "collect": {"sizes": sizes},
+                  "reduce_scatter": {"sizes": sizes}}.get(operation, {})
+
+        def data(env):
+            if operation == "collect":
+                return np.full(sizes[env.rank], float(env.rank))
+            if operation == "bcast" and env.rank != root:
+                return None
+            return np.arange(n, dtype=np.float64) * (env.rank + 1)
 
         def planned(env):
-            plan = make_plan(env, "allreduce", n)
-            yield from plan(np.zeros(n))
+            plan = make_plan(env, operation, n, **kwargs)
+            return (yield from plan(data(env)))
 
         def direct(env):
-            from repro.core import api
-            yield from api.allreduce(env, np.zeros(n))
+            extra = {"total": n} if operation == "bcast" else {}
+            return (yield from getattr(api, operation)(env, data(env),
+                                                       **kwargs, **extra))
 
-        t1 = run_linear(8, planned, params=PARAGON).time
-        t2 = run_linear(8, direct, params=PARAGON).time
-        assert t1 == pytest.approx(t2)
+        runs = [run_linear(p, prog, params=PARAGON)
+                for prog in (planned, direct)]
+        assert len({(r.time, r.messages, r.events) for r in runs}) == 1
+        a, b = ([None if x is None else x.tolist() for x in r.results]
+                for r in runs)
+        assert a == b
 
     def test_plan_on_subgroup(self):
         group = [1, 3, 5, 7]

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import partition_offsets, partition_sizes
+from repro.core import CostModel, partition_offsets, partition_sizes
 from repro.core.context import CollContext
 from repro.core.primitives_short import (mst_bcast, mst_gather, mst_reduce,
                                          mst_scatter)
@@ -20,6 +20,27 @@ from .conftest import run_linear
 
 def L(p):
     return math.ceil(math.log2(p)) if p > 1 else 0
+
+
+def _levels(me, p):
+    """Levels of rank ``me``'s path down the halving of ``[0, p)``,
+    whose left part is the ceiling half."""
+    lo, hi, levels = 0, p, 0
+    while hi - lo > 1:
+        mid = (lo + hi + 1) // 2
+        lo, hi = (lo, mid) if me < mid else (mid, hi)
+        levels += 1
+    return levels
+
+
+class _Counting(CollContext):
+    """A context that counts its rank's overhead charges."""
+
+    __slots__ = ("charges",)
+
+    def overhead(self, count=1.0):
+        self.charges += 1
+        return super().overhead(count)
 
 
 class TestMstBcast:
@@ -82,17 +103,40 @@ class TestMstBcast:
         with pytest.raises(ValueError):
             run_linear(4, prog)
 
-    def test_overhead_charged_per_level(self):
-        p, n = 8, 4
+    @pytest.mark.parametrize("primitive",
+                             ["bcast", "scatter", "gather", "reduce"])
+    def test_overhead_charged_per_level(self, primitive):
+        """Every rank charges ``sw_overhead`` once per level of its own
+        path: on 7 ranks the paths have 2 or 3 levels, and on 8 ranks
+        the L(p) charges add up to the closed-form cost."""
+        n = 4
         params = UNIT.with_(sw_overhead=10.0)
 
-        def prog(env):
-            ctx = CollContext(env)
-            buf = np.zeros(n) if env.rank == 0 else None
-            return (yield from mst_bcast(ctx, buf, root=0))
+        def prog(env, p, root):
+            ctx = _Counting(env)
+            ctx.charges = 0
+            mine = np.zeros(n)
+            if primitive == "bcast":
+                buf = mine if env.rank == root else None
+                yield from mst_bcast(ctx, buf, root=root)
+            elif primitive == "scatter":
+                buf = np.zeros(n * p) if env.rank == root else None
+                yield from mst_scatter(ctx, buf, root=root, total=n * p)
+            elif primitive == "gather":
+                yield from mst_gather(ctx, mine, root=root)
+            else:
+                yield from mst_reduce(ctx, mine, root=root)
+            return ctx.charges
 
-        t = run_linear(p, prog, params=params).time
-        assert t == pytest.approx(L(p) * (1 + n * 8 + 10.0))
+        run = run_linear(7, prog, 7, 6, params=params)
+        assert run.results == [_levels(r, 7) for r in range(7)]
+
+        p = 8
+        run = run_linear(p, prog, p, 0, params=params)
+        assert run.results == [L(p)] * p
+        moved = n if primitive in ("bcast", "reduce") else n * p
+        cost = getattr(CostModel(params, itemsize=8), f"mst_{primitive}")
+        assert run.time == pytest.approx(cost(p, moved))
 
 
 class TestMstScatter:
