@@ -45,8 +45,8 @@ from dataclasses import replace
 from repro.chaos.generator import OPS, ChaosCase, fault_schedule
 from repro.chaos.oracles import clean_run, make_program, mismatched_ranks
 from repro.core.communicator import Communicator
-from repro.sim import (FaultDiagnosis, Machine, SimulationLimitError,
-                       preset)
+from repro.core.faults import FaultDiagnosis
+from repro.sim import Machine, SimulationLimitError, preset
 
 N = 1024  # vector length (elements) for every collective
 

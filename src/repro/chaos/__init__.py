@@ -5,7 +5,7 @@ package's programs, oracles and fault schedules) can only find failures
 someone enumerated.  This package is the generative half of the
 robustness story: a seeded **generator** samples random topologies,
 collectives, group shapes, payload dtypes/sizes and fault schedules —
-including the Byzantine-model adversaries of :mod:`repro.sim.faults` —
+including the Byzantine-model adversaries of :mod:`repro.core.faults` —
 an **executor** classifies every case against analytic oracles (and a
 real-process slice), a persistent **corpus store** keeps every case
 keyed by hash with a coverage signature biasing generation toward

@@ -9,7 +9,7 @@ on the simulator, checks the outcome against the analytic oracles of
     the run completed and every surviving member's payload matches;
 ``diagnosed-fault``
     the fault layer produced a *typed* diagnosis — either the engine
-    raised :class:`~repro.sim.faults.FaultDiagnosis`, or payloads
+    raised :class:`~repro.core.faults.FaultDiagnosis`, or payloads
     mismatch but the fault report's ``tampered`` records attribute the
     corruption to an injected adversary (Byzantine detection: a tracked
     tamper is a diagnosis, never a silent failure);
@@ -43,8 +43,8 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
-from repro.sim import (DeadlockError, FaultDiagnosis, Machine,
-                       SimulationLimitError, preset)
+from repro.core.faults import FaultDiagnosis
+from repro.sim import DeadlockError, Machine, SimulationLimitError, preset
 
 from .generator import ChaosCase
 from .oracles import make_program, mismatched_ranks

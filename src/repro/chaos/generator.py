@@ -2,7 +2,7 @@
 
 A :class:`ChaosCase` is a fully self-contained scenario: topology,
 machine preset, collective, group shape, payload length/dtype, and a
-serialized :class:`~repro.sim.faults.FaultSchedule`.  Its hash is the
+serialized :class:`~repro.core.faults.FaultSchedule`.  Its hash is the
 corpus key; replaying a case needs nothing but the case dict.
 
 :class:`CaseGenerator` samples cases from a **private**
@@ -31,11 +31,12 @@ import random
 from dataclasses import dataclass, field, replace
 from typing import Dict, FrozenSet, Iterable, Optional, Sequence, Tuple
 
+from repro.core.faults import (ByzantineRank, FaultSchedule, LinkFault,
+                               LinkSlowdown, MisroutingRank, NodeCrash,
+                               WithholdingRank)
 from repro.core.strategy import OPERATIONS
-from repro.sim import (FaultSchedule, Hypercube, LinearArray, Mesh2D, Ring,
-                       Torus2D, preset)
-from repro.sim.faults import (ByzantineRank, LinkFault, LinkSlowdown,
-                              MisroutingRank, NodeCrash, WithholdingRank)
+from repro.sim import (Hypercube, LinearArray, Mesh2D, Ring, Torus2D,
+                       preset)
 
 #: every topology class the generator samples (the coverage axis)
 TOPO_CLASSES = ("linear", "ring", "mesh", "torus", "hypercube")

@@ -30,8 +30,9 @@ import sys
 from dataclasses import replace
 from typing import Dict, List, Optional, Tuple
 
-from repro.sim import FaultSchedule, preset
-from repro.sim.faults import (ByzantineRank, NodeCrash, WithholdingRank)
+from repro.core.faults import (ByzantineRank, FaultSchedule, NodeCrash,
+                               WithholdingRank)
+from repro.sim import preset
 
 from .executor import execute_case
 from .generator import ChaosCase, topo_nranks

@@ -1,9 +1,9 @@
-"""Deterministic fault injection for the simulated machine.
+"""The fault contract both backends honour.
 
 The paper's machine model (section 2) assumes a pristine wormhole mesh;
-this module is the controlled way to break that assumption.  A
-:class:`FaultSchedule` declares, in *simulated* time, a set of fault
-events —
+this module is the controlled way to break that assumption, and like
+:mod:`repro.core.protocol` it belongs to no backend.  A
+:class:`FaultSchedule` declares a set of fault events —
 
 * :class:`LinkFault` — a (bidirectional by default) mesh link stops
   carrying data, permanently or for a bounded ``duration``;
@@ -24,7 +24,11 @@ watchdog).  Given the same ``(seed, schedule)`` a chaos run is
 bit-reproducible: the only randomness is the schedule's own
 :class:`random.Random` stream, consumed in deterministic event order.
 
-When a fault prevents completion, the engine raises a typed
+Link, slowdown and crash events fire on the simulator's clock; the
+adversarial events act per send through :class:`AdversaryState`, at the
+send step both backends share (:meth:`.protocol.RankEnvBase.isend`).
+
+When a fault prevents completion, the simulator raises a typed
 :class:`FaultDiagnosis` instead of a bare
 :class:`~repro.sim.engine.DeadlockError`: it names the injected faults,
 the crashed nodes, every blocked rank's oldest unmatched posted
@@ -41,13 +45,13 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
-from typing import (Any, Dict, FrozenSet, List, Optional, Sequence, Tuple,
-                    Union)
+from dataclasses import dataclass
+from typing import (Any, Callable, Dict, FrozenSet, List, Optional,
+                    Sequence, Tuple, Union)
 
 import numpy as np
 
-Channel = Tuple[int, int]
+from .topology import Channel
 
 
 # ----------------------------------------------------------------------
@@ -131,41 +135,12 @@ class NodeCrash:
         return f"node {self.node} crashed at t={self.t:g}"
 
 
-def _check_adversary(ev) -> None:
-    if ev.rank < 0:
-        raise ValueError(f"adversarial rank must be non-negative "
-                         f"(got {ev.rank})")
-    _check_time(ev.t, math.inf)
-    if ev.every < 1:
-        raise ValueError(f"every must be >= 1 (got {ev.every})")
-    if ev.start < 0:
-        raise ValueError(f"start must be non-negative (got {ev.start})")
-
-
-def _cadence(ev) -> str:
-    parts = []
-    if ev.every != 1:
-        parts.append(f"every {ev.every} sends")
-    if ev.start != 0:
-        parts.append(f"from send #{ev.start}")
-    if ev.t != 0.0:
-        parts.append(f"from t={ev.t:g}")
-    return " " + ", ".join(parts) if parts else ""
-
-
 @dataclass(frozen=True)
-class ByzantineRank:
-    """Rank ``rank`` corrupts array payloads before sending them.
+class AdversaryEvent:
+    """Fields, validation and cadence shared by the adversarial events.
 
-    The send itself proceeds normally — same destination, same size,
-    same timing — but one element of a *copy* of the payload has its
-    high-order byte flipped (sign/exponent for floats), so the damage
-    survives any sane numeric tolerance.  Selection by the matched
-    cadence: active from simulated time ``t``, on the rank's
-    ``start``-th send and every ``every``-th send after it.  The
-    corruption value stream derives from the schedule seed and the
-    rank's send counter, so the simulator and the process backend
-    corrupt identically (docs/robustness.md).
+    Rank ``rank`` acts from time ``t`` on its ``start``-th send and
+    every ``every``-th send after it.
     """
 
     rank: int
@@ -173,16 +148,50 @@ class ByzantineRank:
     every: int = 1
     start: int = 0
 
+    #: what the rank does, formatted with its rank by :meth:`describe`
+    _doing = ""
+
     def __post_init__(self) -> None:
-        _check_adversary(self)
+        if self.rank < 0:
+            raise ValueError(f"adversarial rank must be non-negative "
+                             f"(got {self.rank})")
+        _check_time(self.t, math.inf)
+        if self.every < 1:
+            raise ValueError(f"every must be >= 1 (got {self.every})")
+        if self.start < 0:
+            raise ValueError(
+                f"start must be non-negative (got {self.start})")
 
     def describe(self) -> str:
-        return (f"byzantine rank {self.rank} corrupting payloads"
-                + _cadence(self))
+        parts = []
+        if self.every != 1:
+            parts.append(f"every {self.every} sends")
+        if self.start != 0:
+            parts.append(f"from send #{self.start}")
+        if self.t != 0.0:
+            parts.append(f"from t={self.t:g}")
+        cadence = " " + ", ".join(parts) if parts else ""
+        return self._doing.format(self.rank) + cadence
 
 
 @dataclass(frozen=True)
-class WithholdingRank:
+class ByzantineRank(AdversaryEvent):
+    """Rank ``rank`` corrupts array payloads before sending them.
+
+    The send itself proceeds normally — same destination, same size,
+    same timing — but one element of a *copy* of the payload has its
+    high-order byte flipped (sign/exponent for floats), so the damage
+    survives any sane numeric tolerance.  The corruption value stream
+    derives from the schedule seed and the rank's send counter, so the
+    simulator and the process backend corrupt identically
+    (docs/robustness.md).
+    """
+
+    _doing = "byzantine rank {} corrupting payloads"
+
+
+@dataclass(frozen=True)
+class WithholdingRank(AdversaryEvent):
     """Rank ``rank`` silently drops sends matching the cadence.
 
     The withholding rank's own handle completes immediately — from its
@@ -192,21 +201,11 @@ class WithholdingRank:
     simply never existed.
     """
 
-    rank: int
-    t: float = 0.0
-    every: int = 1
-    start: int = 0
-
-    def __post_init__(self) -> None:
-        _check_adversary(self)
-
-    def describe(self) -> str:
-        return (f"rank {self.rank} withholding (silently dropping) sends"
-                + _cadence(self))
+    _doing = "rank {} withholding (silently dropping) sends"
 
 
 @dataclass(frozen=True)
-class MisroutingRank:
+class MisroutingRank(AdversaryEvent):
     """Rank ``rank`` delivers matching sends to the wrong peer.
 
     The payload goes to ``(dst + 1) % nranks`` (skipping the sender
@@ -215,25 +214,11 @@ class MisroutingRank:
     message.
     """
 
-    rank: int
-    t: float = 0.0
-    every: int = 1
-    start: int = 0
-
-    def __post_init__(self) -> None:
-        _check_adversary(self)
-
-    def describe(self) -> str:
-        return (f"rank {self.rank} misrouting sends to the wrong peer"
-                + _cadence(self))
+    _doing = "rank {} misrouting sends to the wrong peer"
 
 
 FaultEvent = Union[LinkFault, LinkSlowdown, NodeCrash,
                    ByzantineRank, WithholdingRank, MisroutingRank]
-
-#: the adversarial (Byzantine-model) event classes: applied per-send by
-#: the message layer of *both* backends, not scheduled on the sim clock
-ADVERSARIAL_EVENTS = (ByzantineRank, WithholdingRank, MisroutingRank)
 
 _EVENT_KINDS = {
     "link-fault": LinkFault,
@@ -329,11 +314,11 @@ class FaultSchedule:
     def adversarial_ranks(self) -> FrozenSet[int]:
         """Every rank the schedule makes adversarial, of any flavour."""
         return frozenset(ev.rank for ev in self.events
-                         if isinstance(ev, ADVERSARIAL_EVENTS))
+                         if isinstance(ev, AdversaryEvent))
 
     @property
     def has_adversaries(self) -> bool:
-        return any(isinstance(ev, ADVERSARIAL_EVENTS) for ev in self.events)
+        return any(isinstance(ev, AdversaryEvent) for ev in self.events)
 
     def pricing_beta_multiplier(self) -> float:
         """Effective beta multiplier the cost model should price with.
@@ -382,13 +367,7 @@ class FaultSchedule:
 
     @classmethod
     def from_dict(cls, d: Dict) -> "FaultSchedule":
-        known = {"events", "jitter", "seed", "max_retries", "backoff",
-                 "deadline"}
-        extra = set(d) - known
-        if extra:
-            raise ValueError(
-                f"unknown FaultSchedule fields {sorted(extra)}; expected "
-                f"a subset of {sorted(known)}")
+        _reject_unknown("FaultSchedule", d, cls.__dataclass_fields__)
         events = []
         for e in d.get("events", ()):
             e = dict(e)
@@ -398,29 +377,24 @@ class FaultSchedule:
                     f"unknown fault event kind {kind!r}; expected one of "
                     f"{sorted(_EVENT_KINDS)}")
             cls_ = _EVENT_KINDS[kind]
-            fields = set(cls_.__dataclass_fields__)
-            extra = set(e) - fields
-            if extra:
-                raise ValueError(
-                    f"unknown {kind} fields {sorted(extra)}; expected a "
-                    f"subset of {sorted(fields)}")
-            for k, v in e.items():
-                if v == "inf":
-                    e[k] = math.inf
-            events.append(cls_(**e))
+            _reject_unknown(kind, e, cls_.__dataclass_fields__)
+            events.append(cls_(**{k: math.inf if v == "inf" else v
+                                  for k, v in e.items()}))
         deadline = d.get("deadline", math.inf)
-        if deadline == "inf":
-            deadline = math.inf
-        return cls(events=tuple(events),
-                   jitter=d.get("jitter", 0.0),
-                   seed=d.get("seed", 0),
-                   max_retries=d.get("max_retries", 8),
-                   backoff=d.get("backoff", 0.0),
-                   deadline=deadline)
+        return cls(**dict(d, events=tuple(events),
+                          deadline=math.inf if deadline == "inf"
+                          else deadline))
+
+
+def _reject_unknown(what: str, d: Dict, fields) -> None:
+    extra = set(d) - set(fields)
+    if extra:
+        raise ValueError(f"unknown {what} fields {sorted(extra)}; "
+                         f"expected a subset of {sorted(fields)}")
 
 
 # ----------------------------------------------------------------------
-# runtime state (owned by the engine)
+# what the fault layer did
 # ----------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -487,32 +461,32 @@ def corrupt_payload(data: Any, rng: random.Random):
 class AdversaryState:
     """Per-run Byzantine-model machinery, shared by both backends.
 
-    Both backends consult it at their send site, before the message
-    reaches the receiver's :class:`~repro.core.protocol.MatchQueue`:
-    the simulator's engine in ``_post_send``, the process backend's
-    :class:`~repro.runtime.env.ProcessEnv` in ``isend``.  Determinism across backends: the decision for a rank's
-    ``k``-th send depends only on ``(schedule, src, k, now >= t)`` and
-    the corruption bytes only on ``(schedule.seed, src, k)`` — not on
-    the engine's jitter stream — so given the same algorithm (same
-    per-rank send sequence) both backends tamper identically.
+    :meth:`repro.core.protocol.RankEnvBase.isend` consults it before
+    the message reaches the receiver's
+    :class:`~repro.core.protocol.MatchQueue`, on the simulator and on
+    real processes alike.  Determinism across backends: the decision
+    for a rank's ``k``-th send depends only on
+    ``(schedule, src, k, now >= t)`` and the corruption bytes only on
+    ``(schedule.seed, src, k)`` — not on the simulator's jitter stream —
+    so given the same algorithm (same per-rank send sequence) both
+    backends tamper identically.  ``log``, when given, is called with
+    each :class:`Tamper` (the simulator logs it as an injected fault).
     """
 
-    __slots__ = ("seed", "by_rank", "counters", "tampered")
+    __slots__ = ("seed", "by_rank", "counters", "tampered", "log")
 
-    def __init__(self, schedule: FaultSchedule):
+    def __init__(self, schedule: FaultSchedule,
+                 log: Optional[Callable[[Tamper], None]] = None):
         self.seed = schedule.seed
         #: rank -> its adversarial events, in schedule order
         self.by_rank: Dict[int, List] = {}
         for ev in schedule.events:
-            if isinstance(ev, ADVERSARIAL_EVENTS):
+            if isinstance(ev, AdversaryEvent):
                 self.by_rank.setdefault(ev.rank, []).append(ev)
         #: per-adversarial-rank send counters (absent ranks cost nothing)
         self.counters: Dict[int, int] = {}
         self.tampered: List[Tamper] = []
-
-    @property
-    def empty(self) -> bool:
-        return not self.by_rank
+        self.log = log
 
     def act(self, src: int, dst: int, tag: int, data: Any, now: float,
             nranks: int) -> Optional[Tuple[Tamper, int, Any]]:
@@ -541,27 +515,26 @@ class AdversaryState:
                 misroute = ev
             else:
                 corrupt = ev
+        to = dst
         if withhold is not None:
-            tamper = Tamper(now, "withholding-rank", src, dst, tag,
-                            f"send #{k} silently dropped")
-            self.tampered.append(tamper)
-            return tamper, dst, data
-        if misroute is not None:
-            wrong = self.wrong_peer(src, dst, nranks)
-            tamper = Tamper(now, "misrouting-rank", src, dst, tag,
-                            f"send #{k} delivered to {wrong} instead")
-            self.tampered.append(tamper)
-            return tamper, wrong, data
-        if corrupt is not None:
-            bad, desc = corrupt_payload(
+            kind, detail = "withholding-rank", f"send #{k} silently dropped"
+        elif misroute is not None:
+            to = self.wrong_peer(src, dst, nranks)
+            kind, detail = ("misrouting-rank",
+                            f"send #{k} delivered to {to} instead")
+        elif corrupt is not None:
+            data, desc = corrupt_payload(
                 data, random.Random(f"{self.seed}/adversary/{src}/{k}"))
-            if bad is None:
+            if data is None:
                 return None  # nothing corruptible in this payload
-            tamper = Tamper(now, "byzantine-rank", src, dst, tag,
-                            f"send #{k} corrupted: {desc}")
-            self.tampered.append(tamper)
-            return tamper, dst, bad
-        return None
+            kind, detail = "byzantine-rank", f"send #{k} corrupted: {desc}"
+        else:
+            return None
+        tamper = Tamper(now, kind, src, dst, tag, detail)
+        self.tampered.append(tamper)
+        if self.log is not None:
+            self.log(tamper)
+        return tamper, to, data
 
     @staticmethod
     def wrong_peer(src: int, dst: int, nranks: int) -> int:
@@ -572,64 +545,6 @@ class AdversaryState:
         if wrong == src and nranks > 2:
             wrong = (dst + 2) % nranks
         return wrong
-
-
-class FaultState:
-    """Mutable runtime fault state threaded through engine and network.
-
-    The engine owns one of these per run (or ``None`` when no schedule
-    was given).  The network consults :attr:`failed` / :attr:`slow` when
-    routing and sizing channel capacities; the engine consults
-    :attr:`dead` when matching and retrying messages.
-    """
-
-    __slots__ = ("schedule", "failed", "slow", "dead", "rng", "injected",
-                 "retries", "dead_letters", "jitter", "max_retries",
-                 "adversary")
-
-    def __init__(self, schedule: FaultSchedule):
-        self.schedule = schedule
-        #: directed channels currently carrying nothing
-        self.failed: set = set()
-        #: directed channel -> current bandwidth-division factor
-        self.slow: Dict[Channel, float] = {}
-        #: nodes that have crashed (fired, not merely scheduled)
-        self.dead: set = set()
-        self.rng = random.Random(schedule.seed)
-        #: log of (t, kind, description) for every fault that fired
-        self.injected: List[Tuple[float, str, str]] = []
-        self.retries = 0
-        self.dead_letters: List[DeadLetter] = []
-        self.jitter = schedule.jitter
-        self.max_retries = schedule.max_retries
-        #: Byzantine-model per-send machinery, None when the schedule
-        #: declares no adversarial ranks (the common case costs one
-        #: attribute check per send)
-        self.adversary: Optional[AdversaryState] = None
-        if schedule.has_adversaries:
-            self.adversary = AdversaryState(schedule)
-
-    @property
-    def anything_injected(self) -> bool:
-        return bool(self.injected)
-
-    @property
-    def tampered(self) -> List[Tamper]:
-        """Every adversarial application so far (empty without adversaries)."""
-        return self.adversary.tampered if self.adversary is not None else []
-
-    def log(self, t: float, kind: str, detail: str) -> None:
-        self.injected.append((t, kind, detail))
-
-    def report(self) -> "FaultReport":
-        return FaultReport(
-            schedule=self.schedule.describe(),
-            injected=tuple(self.injected),
-            retries=self.retries,
-            dead_letters=tuple(self.dead_letters),
-            crashed=tuple(sorted(self.dead)),
-            tampered=tuple(self.tampered),
-        )
 
 
 @dataclass(frozen=True)

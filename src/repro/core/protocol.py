@@ -285,9 +285,13 @@ class MatchQueue:
 class RankEnvBase:
     """The part of the env surface both backends build the same way.
 
-    Subclasses provide ``rank``, ``nranks``, ``isend``, ``irecv``,
-    ``now`` and ``tracer``; everything here is derived from them.
-    Slot-less, so a subclass keeps whatever ``__slots__`` it declares.
+    Subclasses provide ``rank``, ``nranks``, ``irecv``, ``now``,
+    ``tracer`` and the send step's backend parts: ``_adversary`` (an
+    :class:`~repro.core.faults.AdversaryState`, or ``None``),
+    ``_post(src, dst, tag, data, nbytes)`` (hand a send to the message
+    layer) and ``_withheld(dst, tag, data, nbytes)`` (the completed
+    handle of a withheld send).  Slot-less, so a subclass keeps
+    whatever ``__slots__`` it declares.
     """
 
     __slots__ = ()
@@ -295,6 +299,30 @@ class RankEnvBase:
     def _check_peer(self, peer: int) -> None:
         if not 0 <= peer < self.nranks:
             raise ValueError(f"node {peer} out of range [0, {self.nranks})")
+
+    def isend(self, dst: int, data: Any, tag: int = 0,
+              nbytes: Optional[float] = None) -> CommHandle:
+        """Post a send; returns immediately with a completion handle.
+        The fault contract's adversaries act here, for both backends."""
+        self._check_peer(dst)
+        if nbytes is None:
+            nbytes = payload_nbytes(data)
+        adversary = self._adversary
+        if adversary is not None:
+            acted = adversary.act(self.rank, dst, tag, data, self.now,
+                                  self.nranks)
+            if acted is not None:
+                tamper, dst, data = acted
+                if tamper.kind == "withholding-rank":
+                    return self._withheld(dst, tag, data, nbytes)
+        return self._post(self.rank, dst, tag, data, nbytes)
+
+    @property
+    def tampered(self) -> list:
+        """The adversary's :class:`~repro.core.faults.Tamper` log: the
+        whole run's on the simulator, this rank's on a process."""
+        adversary = self._adversary
+        return adversary.tampered if adversary is not None else []
 
     def waitall(self, *handles) -> _WaitGroup:
         """Block until every handle (or iterable of handles) completes;

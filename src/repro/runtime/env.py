@@ -29,8 +29,9 @@ from __future__ import annotations
 import time
 from typing import Any, Dict, Optional
 
+from ..core.faults import AdversaryState
 from ..core.protocol import (NO_MATCH, CommHandle, MatchQueue, RankEnvBase,
-                             _Delay, _WaitGroup, payload_nbytes)
+                             _Delay, _WaitGroup)
 from .transport import RankTransport
 
 
@@ -89,19 +90,23 @@ class ProcessEnv(RankEnvBase):
         Optional soft deadline in seconds of wall time since
         construction; a blocked wait past it raises
         :class:`RankDeadlineError`.
+    poll:
+        Seconds each blocked wait listens on the transport before it
+        re-checks the deadline.
     faults:
-        Optional :class:`~repro.sim.faults.FaultSchedule`.  Only its
+        Optional :class:`~repro.core.faults.FaultSchedule`.  Only its
         *adversarial* events (ByzantineRank / WithholdingRank /
-        MisroutingRank) apply on this backend — clock-scheduled link
-        and crash faults have no wall-clock counterpart here.  The
-        contract mirrors the simulator's: an empty (or
-        adversary-free) schedule is strictly passive.
+        MisroutingRank) apply on this backend, at the send step it
+        shares with the simulator — clock-scheduled link and crash
+        faults have no wall-clock counterpart here.  The contract
+        mirrors the simulator's: an empty (or adversary-free) schedule
+        is strictly passive.
     """
 
     def __init__(self, rank: int, nranks: int, transport: RankTransport,
                  params=None, topology=None, status=None,
                  deadline: Optional[float] = None,
-                 poll: float = 0.05, tracer=None, faults=None):
+                 poll: float = 0.02, tracer=None, faults=None):
         self.rank = rank
         self.nranks = nranks
         self._transport = transport
@@ -120,13 +125,11 @@ class ProcessEnv(RankEnvBase):
         #: wall time of the last matched or drained frame (None until
         #: the first one) — feeds hang diagnoses and the trace
         self.last_progress_s: Optional[float] = None
-        #: Byzantine-model per-send machinery
-        #: (:class:`~repro.sim.faults.AdversaryState`), None when the
+        #: this rank's Byzantine-model per-send machinery, None when the
         #: schedule declares no adversarial ranks — one attribute check
         #: per send either way, so fault-free runs stay untouched
         self._adversary = None
         if faults is not None and faults.has_adversaries:
-            from ..sim.faults import AdversaryState
             self._adversary = AdversaryState(faults)
 
     # ------------------------------------------------------------------
@@ -148,31 +151,8 @@ class ProcessEnv(RankEnvBase):
     # requests (the repro.core.protocol surface)
     # ------------------------------------------------------------------
 
-    @property
-    def tampered(self):
-        """Adversarial applications this rank performed (empty list
-        without an adversarial schedule) — the runtime analogue of
-        ``FaultReport.tampered``."""
-        return self._adversary.tampered if self._adversary is not None \
-            else []
-
-    def isend(self, dst: int, data: Any, tag: int = 0,
-              nbytes: Optional[float] = None) -> CommHandle:
-        self._check_peer(dst)
-        if nbytes is None:
-            nbytes = payload_nbytes(data)
-        if self._adversary is not None:
-            acted = self._adversary.act(self.rank, dst, tag, data,
-                                        self.now, self.nranks)
-            if acted is not None:
-                tamper, dst, data = acted
-                if tamper.kind == "withholding-rank":
-                    # the sender proceeds as if delivered; nothing
-                    # reaches the transport
-                    h = CommHandle("send", dst, tag, data, nbytes,
-                                   self.now)
-                    h.done = True
-                    return h
+    def _post(self, src: int, dst: int, tag: int, data: Any,
+              nbytes: float) -> CommHandle:
         h = CommHandle("send", dst, tag, data, nbytes, self.now)
         if self.tracer is not None:
             q = self._queue
@@ -181,6 +161,13 @@ class ProcessEnv(RankEnvBase):
                                   q.posted, q.unexpected)
         self._transport.send(dst, tag, data, nbytes)
         h.done = True  # eager: buffered by the transport writer
+        return h
+
+    def _withheld(self, dst: int, tag: int, data: Any,
+                  nbytes: float) -> CommHandle:
+        # the sender proceeds as if delivered; nothing is sent
+        h = CommHandle("send", dst, tag, data, nbytes, self.now)
+        h.done = True
         return h
 
     def irecv(self, src: int, tag: int = 0) -> CommHandle:

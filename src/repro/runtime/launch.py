@@ -144,7 +144,7 @@ class RuntimeRunResult:
 
 def _child_main(rank, active, nranks, transport_kind, mesh, rendezvous,
                 params, topology, program, args, kwargs, status,
-                result_conn, deadline, poll, trace_path=None, faults=None):
+                result_conn, deadline, trace_path=None, faults=None):
     tr = None
     tracer = None
     try:
@@ -156,7 +156,7 @@ def _child_main(rank, active, nranks, transport_kind, mesh, rendezvous,
                                  rendezvous_listener=listener)
         env = ProcessEnv(rank, nranks, tr, params=params,
                          topology=topology, status=status,
-                         deadline=deadline, poll=poll, faults=faults)
+                         deadline=deadline, faults=faults)
         if trace_path is not None:
             # Align clocks *before* attaching the tracer so the
             # ping-pong probes never clutter the trace; the exchange
@@ -223,15 +223,14 @@ class ProcessMachine:
         Default wall-clock budget per :meth:`run`, seconds.  Ranks get
         it as their soft deadline; the parent enforces a slightly
         larger hard deadline as a backstop.
-    start_method:
-        ``"fork"`` by default — rank programs are often closures, which
-        spawn-pickling would reject.
+
+    Ranks are forked: rank programs are often closures, which any other
+    start method would have to pickle and cannot.
     """
 
     def __init__(self, nprocs: Optional[int] = None, params=None,
                  topology=None, transport: str = "local",
-                 timeout: float = 60.0, poll: float = 0.02,
-                 start_method: str = "fork", hard_grace: float = 5.0,
+                 timeout: float = 60.0, hard_grace: float = 5.0,
                  use_profile: Optional[bool] = None,
                  trace: bool = False, faults=None):
         if nprocs is None:
@@ -258,8 +257,6 @@ class ProcessMachine:
         self.topology = topology
         self.transport = transport
         self.timeout = timeout
-        self.poll = poll
-        self.start_method = start_method
         #: extra seconds past ``timeout * 1.5`` before the parent kills
         #: ranks too wedged to self-report their blocked state
         self.hard_grace = hard_grace
@@ -310,7 +307,7 @@ class ProcessMachine:
                 r: os.path.join(trace_dir, f"rank_{r}.jsonl")
                 for r in active}
 
-        ctx = multiprocessing.get_context(self.start_method)
+        ctx = multiprocessing.get_context("fork")
         mesh = rendezvous = None
         if self.transport == "local":
             mesh = LocalMesh(active, ctx)
@@ -331,7 +328,7 @@ class ProcessMachine:
                 args=(r, active, self.nprocs, self.transport, mesh,
                       rendezvous, self.params, self.topology, program,
                       args, kwargs, statuses[r], send_end, timeout,
-                      self.poll, trace_paths[r], self.faults),
+                      trace_paths[r], self.faults),
                 name=f"repro-rank-{r}", daemon=True)
             procs[r].start()
             send_end.close()
@@ -400,13 +397,9 @@ class ProcessMachine:
         for r, o in outcomes.items():
             if o[0] != "blocked":
                 continue
-            payload = o[1]
-            if isinstance(payload, dict):
-                blocked[r] = payload.get("detail", "")
-                if payload.get("queues"):
-                    queues[r] = payload["queues"]
-            else:           # plain string from an older rank process
-                blocked[r] = payload
+            blocked[r] = o[1]["detail"]
+            if o[1]["queues"]:
+                queues[r] = o[1]["queues"]
         killed = []
         for r, o in outcomes.items():
             if o[0] == "hung":

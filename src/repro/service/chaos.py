@@ -10,7 +10,7 @@ request level:
 * **lossy** profiles (``link-permanent``, ``crash``) may prevent
   batches from completing: every affected request must end as a
   ``dead-letter`` carrying the run's typed
-  :class:`~repro.sim.faults.FaultDiagnosis`, every batch that fully
+  :class:`~repro.core.faults.FaultDiagnosis`, every batch that fully
   completed before the fault keeps its ``ok`` outcome and its
   oracle-identical results, and **no request may ever disappear** —
   ``submitted == ok + rejected + dead-letter`` always.
@@ -28,7 +28,7 @@ import random
 from typing import Dict
 
 from ..chaos.generator import fault_schedule
-from ..sim.faults import FaultSchedule
+from ..core.faults import FaultSchedule
 
 #: the profiles a storm is tested under -> whether the profile may
 #: legally dead-letter requests

@@ -20,7 +20,7 @@ both expose ``.run(program, *args)``).  Every rank walks the same plan:
 Fault containment (docs/service.md): each rank records every completed
 batch into a ``sink`` as it goes.  On the simulator the sink is a
 plain in-process list that survives a mid-run
-:class:`~repro.sim.faults.FaultDiagnosis` — requests whose batch fully
+:class:`~repro.core.faults.FaultDiagnosis` — requests whose batch fully
 completed on every member rank keep their results, everything at or
 after the fault is **dead-lettered with the typed diagnosis attached**.
 Never a silent drop: every submitted request ends ``ok``, ``rejected``,
@@ -36,9 +36,18 @@ from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
+from ..core.faults import FaultDiagnosis
+from ..runtime.launch import RankError, RuntimeHangDiagnosis
+from ..sim.engine import DeadlockError
+from ..sim.machine import Machine as _SimMachine
 from .core import ServicePlan, jain_index
 from .request import RequestOutcome
 from .traffic import WorkloadSpec, run_workload
+
+
+#: the typed run errors a plan execution turns into dead-letters
+_RUN_ERRORS = (FaultDiagnosis, RankError, RuntimeHangDiagnosis,
+               DeadlockError)
 
 
 def _service_program(env, plan: ServicePlan, sink: Optional[list] = None):
@@ -287,7 +296,7 @@ def execute_plan(machine, plan: ServicePlan, *,
     ``machine`` is a :class:`repro.sim.Machine` or
     :class:`repro.runtime.ProcessMachine`; its node count must match
     the plan's fabric.  On a simulated machine with a fault schedule,
-    a mid-run :class:`~repro.sim.faults.FaultDiagnosis` is caught and
+    a mid-run :class:`~repro.core.faults.FaultDiagnosis` is caught and
     converted into per-request dead-letters (typed, never silent).
     """
     nnodes = machine.nnodes
@@ -301,7 +310,6 @@ def execute_plan(machine, plan: ServicePlan, *,
     outcomes = {rid: copy.copy(o) for rid, o in plan.outcomes.items()}
     kwargs = {} if trace is None else {"trace": trace}
 
-    from ..sim.machine import Machine as _SimMachine
     is_sim = isinstance(machine, _SimMachine)
     sink: Optional[list] = [] if is_sim else None
 
@@ -309,21 +317,7 @@ def execute_plan(machine, plan: ServicePlan, *,
     run = None
     try:
         run = machine.run(_service_program, plan, sink, **kwargs)
-    except Exception as exc:
-        from ..sim.faults import FaultDiagnosis
-        typed: Tuple[type, ...] = (FaultDiagnosis,)
-        try:
-            from ..runtime.launch import RankError, RuntimeHangDiagnosis
-            typed = typed + (RankError, RuntimeHangDiagnosis)
-        except ImportError:             # pragma: no cover
-            pass
-        try:
-            from ..sim.engine import DeadlockError
-            typed = typed + (DeadlockError,)
-        except ImportError:             # pragma: no cover
-            pass
-        if not isinstance(exc, typed):
-            raise
+    except _RUN_ERRORS as exc:
         diagnosis = {"type": type(exc).__name__}
         to_dict = getattr(exc, "to_dict", None)
         if callable(to_dict):

@@ -7,11 +7,12 @@ wormhole routing, fluid max-min bandwidth sharing on conflicts, one
 injection and one ejection port per node, and ``gamma``-cost arithmetic.
 """
 
+from ..core.faults import (ByzantineRank, DeadLetter, FaultDiagnosis,
+                           FaultReport, FaultSchedule, LinkFault,
+                           LinkSlowdown, MisroutingRank, NodeCrash, Tamper,
+                           WithholdingRank)
 from .engine import (CommHandle, DeadlockError, Engine, RankEnv,
                      SimulationLimitError, payload_nbytes)
-from .faults import (ByzantineRank, DeadLetter, FaultDiagnosis, FaultReport,
-                     FaultSchedule, LinkFault, LinkSlowdown, MisroutingRank,
-                     NodeCrash, Tamper, WithholdingRank)
 from .machine import Machine, RunResult
 from .network import FluidNetwork, Flow
 from ..core.params import (DELTA, IPSC860, PARAGON, PRESETS, UNIT,

@@ -44,18 +44,18 @@ large-``p`` runs.
 
 from __future__ import annotations
 
-import heapq
 import itertools
 import math
+import random
 from heapq import heappop, heappush
 from typing import Any, Callable, Dict, Generator, List, Optional, Tuple
 
-import numpy as np
-
+from ..core.faults import (AdversaryState, DeadLetter, FaultDiagnosis,
+                           FaultReport, FaultSchedule, LinkFault,
+                           LinkSlowdown, NodeCrash)
 from ..core.protocol import (NO_MATCH, CommHandle, MatchQueue, RankEnvBase,
                              _Delay, _WaitGroup, payload_nbytes)
-from .faults import (DeadLetter, FaultDiagnosis, FaultSchedule, FaultState,
-                     LinkFault, LinkSlowdown, NodeCrash)
+from ..core.topology import Channel
 from .network import FluidNetwork
 from ..core.params import MachineParams
 from ..core.topology import Topology
@@ -74,12 +74,41 @@ class DeadlockError(RuntimeError):
     wait-for cycle among them (when one exists), and each blocked rank's
     oldest unmatched posted send/recv ``(peer, tag, nbytes)``.  When the
     hang is attributable to injected faults the engine raises the typed
-    :class:`~repro.sim.faults.FaultDiagnosis` subclass-by-role instead.
+    :class:`~repro.core.faults.FaultDiagnosis` subclass-by-role instead.
     """
 
 
 class SimulationLimitError(RuntimeError):
     """Raised when an event-count safety limit is exceeded."""
+
+
+class FaultState:
+    """Mutable simulator fault state threaded through engine and network.
+
+    The engine owns one of these per run (or ``None`` when no schedule
+    was given).  The network consults :attr:`failed` / :attr:`slow` when
+    routing and sizing channel capacities; the engine consults
+    :attr:`dead` when matching and retrying messages.
+    """
+
+    __slots__ = ("schedule", "failed", "slow", "dead", "rng", "injected",
+                 "retries", "dead_letters", "jitter", "max_retries")
+
+    def __init__(self, schedule: FaultSchedule):
+        self.schedule = schedule
+        #: directed channels currently carrying nothing
+        self.failed: set = set()
+        #: directed channel -> current bandwidth-division factor
+        self.slow: Dict[Channel, float] = {}
+        #: nodes that have crashed (fired, not merely scheduled)
+        self.dead: set = set()
+        self.rng = random.Random(schedule.seed)
+        #: log of (t, kind, description) for every fault that fired
+        self.injected: List[Tuple[float, str, str]] = []
+        self.retries = 0
+        self.dead_letters: List[DeadLetter] = []
+        self.jitter = schedule.jitter
+        self.max_retries = schedule.max_retries
 
 
 # ----------------------------------------------------------------------
@@ -102,11 +131,12 @@ class RankEnv(RankEnvBase):
     """Per-rank view of the machine, passed to every program.
 
     ``isend``/``irecv`` post immediately and return a :class:`CommHandle`;
-    every other method builds a request to ``yield`` (the blocking ones
-    come from :class:`~repro.core.protocol.RankEnvBase`).
+    every other method builds a request to ``yield`` (``isend`` and the
+    blocking ones come from :class:`~repro.core.protocol.RankEnvBase`).
     """
 
-    __slots__ = ("engine", "rank", "nranks", "params", "topology")
+    __slots__ = ("engine", "rank", "nranks", "params", "topology",
+                 "_adversary", "_post", "_withheld")
 
     def __init__(self, engine: "Engine", rank: int):
         self.engine = engine
@@ -114,6 +144,9 @@ class RankEnv(RankEnvBase):
         self.nranks: int = engine.topology.nnodes
         self.params: MachineParams = engine.params
         self.topology: Topology = engine.topology
+        self._adversary = engine._adversary
+        self._post = engine._post_send
+        self._withheld = engine._withheld_send
 
     # --- introspection -------------------------------------------------
 
@@ -131,14 +164,6 @@ class RankEnv(RankEnvBase):
         return fs is None or node not in fs.dead
 
     # --- nonblocking ----------------------------------------------------
-
-    def isend(self, dst: int, data: Any, tag: int = 0,
-              nbytes: Optional[float] = None) -> CommHandle:
-        """Post a send; returns immediately with a completion handle."""
-        self._check_peer(dst)
-        if nbytes is None:
-            nbytes = payload_nbytes(data)
-        return self.engine._post_send(self.rank, dst, tag, data, nbytes)
 
     def irecv(self, src: int, tag: int = 0) -> CommHandle:
         """Post a receive; returns immediately with a completion handle."""
@@ -194,12 +219,21 @@ class Engine:
         self._last_done_time = 0.0
         #: runtime fault state, None on a fault-free run
         self._faults: Optional[FaultState] = None
+        #: the ranks' shared adversary (None without adversarial
+        #: events) and its tamper log
+        self._adversary: Optional[AdversaryState] = None
+        self._tampered: List = []
         self._deadline = math.inf
         self._retry_backoff = 0.0
         if faults is not None and not faults.is_empty:
             self._faults = FaultState(faults)
             self._deadline = faults.deadline
             self._retry_backoff = faults.backoff or 4.0 * params.alpha
+            if faults.has_adversaries:
+                self._adversary = AdversaryState(
+                    faults,
+                    log=lambda tm: self._log_fault(tm.kind, tm.describe()))
+                self._tampered = self._adversary.tampered
         self.network = FluidNetwork(
             topology, params, self.schedule,
             schedule_completion=self._schedule_completion,
@@ -248,7 +282,7 @@ class Engine:
                 self.schedule(ev.t, lambda ev=ev: self._fire_node_crash(ev))
 
     def _log_fault(self, kind: str, detail: str) -> None:
-        self._faults.log(self.now, kind, detail)
+        self._faults.injected.append((self.now, kind, detail))
         if self.tracer is not None:
             self.tracer.fault(self.now, kind, detail)
 
@@ -372,13 +406,9 @@ class Engine:
                 # a rank program blowing up under active injection is a
                 # fault effect (e.g. a misrouted block with the wrong
                 # shape) — surface it as a typed diagnosis, cause chained
-                raise FaultDiagnosis(
+                raise self._diagnosis(
                     f"rank {proc.rank} raised {type(exc).__name__} "
-                    f"under injected faults: {exc}",
-                    injected=fs.injected,
-                    dead_letters=fs.dead_letters,
-                    crashed=sorted(fs.dead),
-                    tampered=fs.tampered) from exc
+                    f"under injected faults: {exc}") from exc
             raise
         self._dispatch(proc, req)
 
@@ -402,22 +432,18 @@ class Engine:
 
     # --- message layer ------------------------------------------------------
 
+    def _withheld_send(self, dst: int, tag: int, data: Any,
+                       nbytes: float) -> CommHandle:
+        """A withholding rank's dropped send: the sender's handle
+        completes as if delivered (and counts as a message); the message
+        itself never enters the matching queues."""
+        h = CommHandle("send", dst, tag, data, nbytes, self.now)
+        self.messages_sent += 1
+        h._complete(self)
+        return h
+
     def _post_send(self, src: int, dst: int, tag: int, data: Any,
                    nbytes: float) -> CommHandle:
-        fs = self._faults
-        if fs is not None and fs.adversary is not None:
-            acted = fs.adversary.act(src, dst, tag, data, self.now,
-                                     self._nnodes)
-            if acted is not None:
-                tamper, dst, data = acted
-                self._log_fault(tamper.kind, tamper.describe())
-                if tamper.kind == "withholding-rank":
-                    # the sender's handle completes as if delivered; the
-                    # message itself never enters the matching queues
-                    h = CommHandle("send", dst, tag, data, nbytes, self.now)
-                    self.messages_sent += 1
-                    h._complete(self)
-                    return h
         h = CommHandle("send", dst, tag, data, nbytes, self.now)
         self.messages_sent += 1
         rec = None
@@ -537,7 +563,7 @@ class Engine:
     def _hang_error(self, watchdog: bool = False) -> RuntimeError:
         """Build the deadlock/fault diagnosis for a run that cannot finish.
 
-        Returns :class:`~repro.sim.faults.FaultDiagnosis` when the fault
+        Returns :class:`~repro.core.faults.FaultDiagnosis` when the fault
         layer injected anything (the hang is attributable), else a
         :class:`DeadlockError` (a genuine program bug).
         """
@@ -612,18 +638,20 @@ class Engine:
             lines.append(f"injected fault: {desc}")
         for dl in fs.dead_letters:
             lines.append(f"dead letter: {dl.describe()}")
-        tampered = fs.tampered
-        for tm in tampered:
+        for tm in self._tampered:
             lines.append(f"tampered: {tm.describe()}")
-        return FaultDiagnosis(
-            "\n".join(lines),
-            injected=fs.injected,
-            blocked=blocked_detail,
-            dead_letters=fs.dead_letters,
-            crashed=crashed,
-            op_spans=op_spans,
-            watchdog=watchdog,
-            tampered=tampered)
+        return self._diagnosis("\n".join(lines), blocked=blocked_detail,
+                               op_spans=op_spans, watchdog=watchdog)
+
+    def _diagnosis(self, message: str, **fields) -> FaultDiagnosis:
+        """A :class:`~repro.core.faults.FaultDiagnosis` carrying the
+        run's fault log, plus ``fields`` (blocked ranks, op spans, the
+        watchdog flag) when a hang is being diagnosed."""
+        fs = self._faults
+        return FaultDiagnosis(message, injected=fs.injected,
+                              dead_letters=fs.dead_letters,
+                              crashed=sorted(fs.dead),
+                              tampered=self._tampered, **fields)
 
     @staticmethod
     def _find_cycle(edges: Dict[int, List[int]]) -> Optional[List[int]]:
@@ -665,7 +693,15 @@ class Engine:
     def results(self) -> List[Any]:
         return [p.result for p in sorted(self._procs, key=lambda p: p.rank)]
 
-    def fault_report(self):
-        """Post-run :class:`~repro.sim.faults.FaultReport`, or None when
+    def fault_report(self) -> Optional[FaultReport]:
+        """Post-run :class:`~repro.core.faults.FaultReport`, or None when
         no fault schedule was installed."""
-        return self._faults.report() if self._faults is not None else None
+        fs = self._faults
+        if fs is None:
+            return None
+        return FaultReport(schedule=fs.schedule.describe(),
+                           injected=tuple(fs.injected),
+                           retries=fs.retries,
+                           dead_letters=tuple(fs.dead_letters),
+                           crashed=tuple(sorted(fs.dead)),
+                           tampered=tuple(self._tampered))

@@ -22,7 +22,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..obs.metrics import ChannelStats, ResourceMetrics
 from .engine import Engine, RankEnv
-from .faults import FaultReport, FaultSchedule
+from ..core.faults import FaultReport, FaultSchedule
 from ..core.params import MachineParams, UNIT
 from ..core.topology import Topology
 from ..obs.trace import Tracer
@@ -117,7 +117,7 @@ class Machine:
         and contention, exposed as ``RunResult.channel_metrics``.
         Strictly passive: simulated results are unchanged.
     faults:
-        Optional :class:`~repro.sim.faults.FaultSchedule` applied to
+        Optional :class:`~repro.core.faults.FaultSchedule` applied to
         every run (overridable per run).  An empty schedule is strictly
         passive — results stay bit-identical to a fault-free machine.
     max_events:

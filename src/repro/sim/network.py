@@ -182,7 +182,7 @@ class FluidNetwork:
                  metrics=None, faults=None):
         self.topology = topology
         self.params = params
-        #: runtime fault state (:class:`repro.sim.faults.FaultState`) or
+        #: runtime fault state (:class:`repro.sim.engine.FaultState`) or
         #: None; with no injected link faults every code path below is
         #: byte-identical to a fault-free network
         self._faults = faults
@@ -617,10 +617,3 @@ class FluidNetwork:
             res_flows[rid].pop(flow, None)
         if self._mev is not None:
             self._mev((when, flow.route, None))
-
-    def metrics_snapshot(self):
-        """Per-resource stats keyed by resource tuple, or None when no
-        metrics collector is attached."""
-        if self.metrics is None:
-            return None
-        return self.metrics.snapshot(self._res_list)

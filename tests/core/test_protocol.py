@@ -42,10 +42,18 @@ def test_core_imports_without_loading_simulator():
 
 
 def test_runtime_imports_without_loading_simulator():
+    """Real processes run the fault contract, adversaries included,
+    without loading the simulator."""
     code = (
         "import sys\n"
         "import repro.runtime\n"
         "import repro.obs.runtime\n"
+        "from repro.core.faults import ByzantineRank, FaultSchedule\n"
+        "tr = repro.runtime.RankTransport(0, 1, {})\n"
+        "schedule = FaultSchedule(events=(ByzantineRank(rank=0),))\n"
+        "env = repro.runtime.ProcessEnv(0, 1, tr, faults=schedule)\n"
+        "assert env._adversary is not None and env.tampered == []\n"
+        "tr.flush_and_close()\n"
         "bad = sorted(m for m in sys.modules if m.startswith('repro.sim'))\n"
         "assert not bad, f'simulator modules leaked: {bad}'\n"
         "print('clean')\n"

@@ -5,7 +5,7 @@ profile injected while a multi-tenant storm is in flight must leave
 every submitted request in exactly one typed terminal state — ``ok``
 (bit-identical to the fault-free oracle), ``rejected`` (typed
 :class:`~repro.service.request.Rejection`), or ``dead-letter``
-(carrying the run's typed :class:`~repro.sim.faults.FaultDiagnosis`).
+(carrying the run's typed :class:`~repro.core.faults.FaultDiagnosis`).
 """
 
 import numpy as np

@@ -35,6 +35,7 @@ from typing import Callable, Dict, List, Tuple
 import numpy as np
 
 from repro.core import api
+from repro.core.faults import FaultSchedule
 from repro.core.partition import partition_sizes
 from repro.sim import (Hypercube, LinearArray, Machine, Mesh2D, Ring,
                       Torus2D, preset)
@@ -281,7 +282,7 @@ def run_entry(name: str, metrics: bool = False, audit: bool = False,
     (``run.audit`` + ``run.channel_metrics``) before fingerprinting:
     prediction capture and the audit layer must also be invisible to
     simulated results.  ``faults`` threads a
-    :class:`~repro.sim.faults.FaultSchedule` through the run — with an
+    :class:`~repro.core.faults.FaultSchedule` through the run — with an
     *empty* schedule the fingerprints must not change either (the fault
     layer is strictly passive, see docs/robustness.md), and with
     delay-only schedules (jitter/slowdown) ``result_sha256`` must not
@@ -335,7 +336,6 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     faults = None
     if args.empty_faults:
-        from repro.sim import FaultSchedule
         faults = FaultSchedule()
     goldens = generate_goldens(metrics=args.metrics, audit=args.audit,
                                faults=faults)

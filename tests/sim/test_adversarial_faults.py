@@ -16,11 +16,11 @@ import numpy as np
 import pytest
 
 from repro.core import api
-from repro.sim import (ByzantineRank, FaultDiagnosis, FaultSchedule,
-                       LinearArray, Machine, MisroutingRank, Ring,
-                       WithholdingRank, preset)
-from repro.sim.faults import (AdversaryState, LinkSlowdown, Tamper,
-                              corrupt_payload)
+from repro.core.faults import (AdversaryState, ByzantineRank,
+                               FaultDiagnosis, FaultSchedule, LinkSlowdown,
+                               MisroutingRank, Tamper, WithholdingRank,
+                               corrupt_payload)
+from repro.sim import LinearArray, Machine, Ring, preset
 
 PARAGON = preset("paragon")
 

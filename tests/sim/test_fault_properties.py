@@ -27,7 +27,8 @@ import json
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sim import FaultSchedule, LinkSlowdown, preset
+from repro.core.faults import FaultSchedule, LinkSlowdown
+from repro.sim import preset
 
 from .spmd_corpus import (CORPUS, GOLDEN_PATH, _topo, canonical_results,
                           run_entry)

@@ -15,9 +15,10 @@ import pytest
 
 from repro.core import api, validation
 from repro.core.communicator import Communicator
-from repro.sim import (DeadlockError, FaultDiagnosis, FaultSchedule,
-                       LinearArray, LinkFault, LinkSlowdown, Machine,
-                       Mesh2D, NodeCrash, PARAGON, Ring, Torus2D, UNIT)
+from repro.core.faults import (FaultDiagnosis, FaultSchedule, LinkFault,
+                               LinkSlowdown, NodeCrash)
+from repro.sim import (DeadlockError, LinearArray, Machine, Mesh2D, PARAGON,
+                       Ring, Torus2D, UNIT)
 
 from .spmd_corpus import canonical_results, run_entry
 

@@ -19,7 +19,8 @@ from hypothesis import strategies as st
 from repro.core import api
 from repro.sim import (FullyConnected, Hypercube, LinearArray, Machine,
                        Mesh2D, MachineParams, PARAGON, Torus2D, UNIT)
-from repro.sim.faults import FaultSchedule, FaultState
+from repro.core.faults import FaultSchedule
+from repro.sim.engine import FaultState
 from repro.sim.network import _EPS_BYTES, Flow, FluidNetwork
 
 

@@ -42,6 +42,17 @@ class TestPublicSurface:
         import repro.sim
         assert repro.sim.Machine is repro.Machine
 
+    def test_sim_reexports_the_fault_contract(self):
+        import repro.core.faults
+        import repro.sim
+        for name in ("ByzantineRank", "DeadLetter", "FaultDiagnosis",
+                     "FaultReport", "FaultSchedule", "LinkFault",
+                     "LinkSlowdown", "MisroutingRank", "NodeCrash", "Tamper",
+                     "WithholdingRank"):
+            assert name in repro.sim.__all__
+            assert getattr(repro.sim, name) is \
+                getattr(repro.core.faults, name)
+
 
 def test_every_env_knob_is_in_the_readme_table():
     """The README's environment-variable table lists exactly the
