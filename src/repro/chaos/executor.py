@@ -39,7 +39,7 @@ produces byte-identical records on every machine.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 import numpy as np
 

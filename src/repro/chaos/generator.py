@@ -29,7 +29,7 @@ import hashlib
 import json
 import random
 from dataclasses import dataclass, field, replace
-from typing import Dict, FrozenSet, Iterable, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Optional, Sequence, Tuple
 
 from repro.core.faults import (ByzantineRank, FaultSchedule, LinkFault,
                                LinkSlowdown, MisroutingRank, NodeCrash,

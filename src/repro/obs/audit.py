@@ -261,12 +261,10 @@ def audit_run(run) -> RunAudit:
             measured=measured,
             predicted=predicted,
             ratio=ratio,
-            predicted_conflicts=tuple(conflicts)
-            if conflicts is not None else None,
+            predicted_conflicts=conflicts,
             predicted_terms=terms,
             critical_path=cp_summary,
-            candidates=tuple(tuple(c) for c in attrs["selector_candidates"])
-            if "selector_candidates" in attrs else None,
+            candidates=attrs.get("selector_candidates"),
             selector_bucket=attrs.get("selector_bucket"),
             selector_itemsize=attrs.get("selector_itemsize"),
             selector_mesh_shape=attrs.get("selector_mesh_shape"),

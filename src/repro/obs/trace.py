@@ -11,8 +11,10 @@ A :class:`Tracer` holds:
   stages instead of a flat message soup (see docs/observability.md);
 * zero-cost ``mark`` annotations and injected-fault records.
 
-The simulator fills a :class:`Tracer` directly as it runs; the process
-backend merges per-rank wall-clock files into
+The simulator fills a :class:`Tracer` directly as it runs; on the
+process backend each rank fills a
+:class:`~repro.obs.runtime.RuntimeTracer` (a subclass) on its own wall
+clock, and the parent merges them into
 :class:`~repro.obs.runtime.RuntimeTrace`, a subclass that adds the
 per-rank clock estimates.  Either one exports to the Chrome
 ``chrome://tracing`` / Perfetto JSON format with :func:`chrome_trace` /
@@ -112,7 +114,7 @@ class Tracer:
     """Accumulates message, span, mark and fault records during one run."""
 
     #: ranks that get a track in the Chrome export even if they own no
-    #: record (a merged runtime trace lists every rank that wrote a file)
+    #: record (a merged runtime trace lists every traced rank)
     ranks: Sequence[int] = ()
     #: per-rank clock-alignment estimates (``probes``,
     #: ``uncertainty_s``); empty when every rank reads one clock

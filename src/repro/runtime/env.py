@@ -112,9 +112,11 @@ class ProcessEnv(RankEnvBase):
         self._transport = transport
         self.params = params
         self.topology = topology
-        #: wall-clock :class:`repro.obs.runtime.RuntimeTracer`, or None;
-        #: the launcher attaches it *after* the clock-sync exchange so
-        #: alignment probes don't clutter the trace
+        #: this rank's :class:`repro.obs.runtime.RuntimeTracer` (spans,
+        #: marks and message events on this env's clock), or None; the
+        #: launcher attaches it *after* the clock-sync exchange so
+        #: alignment probes don't clutter the trace, and sends it back
+        #: with the rank's result
         self.tracer = tracer
         self._status = status
         self._deadline = deadline
@@ -123,7 +125,7 @@ class ProcessEnv(RankEnvBase):
         #: posted recv handles and arrived-but-unmatched payloads
         self._queue = MatchQueue()
         #: wall time of the last matched or drained frame (None until
-        #: the first one) — feeds hang diagnoses and the trace
+        #: the first one) — feeds hang diagnoses
         self.last_progress_s: Optional[float] = None
         #: this rank's Byzantine-model per-send machinery, None when the
         #: schedule declares no adversarial ranks — one attribute check
@@ -155,10 +157,7 @@ class ProcessEnv(RankEnvBase):
               nbytes: float) -> CommHandle:
         h = CommHandle("send", dst, tag, data, nbytes, self.now)
         if self.tracer is not None:
-            q = self._queue
-            self.tracer.send_post(self.now, dst, tag, nbytes,
-                                  self._transport.outbox_depth(),
-                                  q.posted, q.unexpected)
+            self.tracer.send_post(self.now, dst, tag, nbytes)
         self._transport.send(dst, tag, data, nbytes)
         h.done = True  # eager: buffered by the transport writer
         return h
@@ -173,11 +172,9 @@ class ProcessEnv(RankEnvBase):
     def irecv(self, src: int, tag: int = 0) -> CommHandle:
         self._check_peer(src)
         h = CommHandle("recv", src, tag, None, 0.0, self.now)
-        q = self._queue
         if self.tracer is not None:
-            self.tracer.recv_post(self.now, src, tag,
-                                  q.posted, q.unexpected)
-        data = q.post(src, tag, h)
+            self.tracer.recv_post(self.now, src, tag)
+        data = self._queue.post(src, tag, h)
         if data is not NO_MATCH:
             h.data = data
             h.done = True
@@ -237,8 +234,6 @@ class ProcessEnv(RankEnvBase):
             h.done = True
             if self.tracer is not None:
                 self.tracer.match(self.now, src, tag)
-        elif self.tracer is not None:
-            self.tracer.drain(self.now, src, tag)
 
     def queue_snapshot(self) -> Dict[str, object]:
         """Progress snapshot: queue depths + last matched/drained time."""

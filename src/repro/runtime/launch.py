@@ -30,10 +30,7 @@ from __future__ import annotations
 import argparse
 import importlib
 import multiprocessing
-import os
-import shutil
 import sys
-import tempfile
 import time
 import traceback
 from dataclasses import dataclass, field
@@ -144,7 +141,7 @@ class RuntimeRunResult:
 
 def _child_main(rank, active, nranks, transport_kind, mesh, rendezvous,
                 params, topology, program, args, kwargs, status,
-                result_conn, deadline, trace_path=None, faults=None):
+                result_conn, deadline, trace=False, faults=None):
     tr = None
     tracer = None
     try:
@@ -157,27 +154,18 @@ def _child_main(rank, active, nranks, transport_kind, mesh, rendezvous,
         env = ProcessEnv(rank, nranks, tr, params=params,
                          topology=topology, status=status,
                          deadline=deadline, faults=faults)
-        if trace_path is not None:
+        if trace:
             # Align clocks *before* attaching the tracer so the
             # ping-pong probes never clutter the trace; the exchange
             # fully drains (per-pair FIFO on a reserved tag), so the
             # rank program starts with empty queues either way.
             from ..obs.runtime import RuntimeTracer, sync_clocks
-            tracer = RuntimeTracer(rank, nranks,
-                                   transport=transport_kind)
-            tracer.clock_estimate = sync_clocks(env, active)
+            tracer = RuntimeTracer(rank, sync_clocks(env, active))
             env.tracer = tracer
         value = drive(env, program, *args, **kwargs)
         tr.flush_and_close()
-        if tracer is not None:
-            tracer.dump_jsonl(trace_path)
-        result_conn.send(("ok", value, env.now))
+        result_conn.send(("ok", value, env.now, tracer))
     except RankDeadlineError as exc:
-        if tracer is not None:
-            try:
-                tracer.dump_jsonl(trace_path)
-            except OSError:
-                pass
         result_conn.send(("blocked",
                           {"detail": exc.detail, "queues": exc.queues},
                           exc.elapsed))
@@ -274,16 +262,15 @@ class ProcessMachine:
 
     def run(self, program, *args, ranks: Optional[Sequence[int]] = None,
             timeout: Optional[float] = None, trace: Optional[bool] = None,
-            trace_dir: Optional[str] = None, **kwargs) -> RuntimeRunResult:
+            **kwargs) -> RuntimeRunResult:
         """Run ``program(env, *args, **kwargs)`` on every active rank.
 
-        With ``trace=True`` every rank collects a wall-clock trace
-        (spans, marks, message post/match/drain events), aligns its
-        clock to the lowest active rank at rendezvous, and dumps JSONL
-        to ``trace_dir`` (a private temp dir by default, removed after
-        the merge; pass ``trace_dir=`` to keep the per-rank files).
-        The merged :class:`~repro.obs.runtime.RuntimeTrace` lands on
-        ``RuntimeRunResult.trace``.
+        With ``trace=True`` every rank aligns its clock to the lowest
+        active rank at rendezvous, records a wall-clock trace (spans,
+        marks, message send/recv posts and matches) in memory, and
+        returns it with its result.  The parent merges them into a
+        :class:`~repro.obs.runtime.RuntimeTrace` on
+        ``RuntimeRunResult.trace``; a traced run writes no file.
         """
         timeout = self.timeout if timeout is None else timeout
         trace = self.trace if trace is None else trace
@@ -294,18 +281,6 @@ class ProcessMachine:
         for r in active:
             if not 0 <= r < self.nprocs:
                 raise ValueError(f"rank {r} out of range")
-
-        trace_tmp = None
-        trace_paths: Dict[int, Optional[str]] = {r: None for r in active}
-        if trace:
-            if trace_dir is None:
-                trace_dir = trace_tmp = tempfile.mkdtemp(
-                    prefix="repro-trace-")
-            else:
-                os.makedirs(trace_dir, exist_ok=True)
-            trace_paths = {
-                r: os.path.join(trace_dir, f"rank_{r}.jsonl")
-                for r in active}
 
         ctx = multiprocessing.get_context("fork")
         mesh = rendezvous = None
@@ -328,7 +303,7 @@ class ProcessMachine:
                 args=(r, active, self.nprocs, self.transport, mesh,
                       rendezvous, self.params, self.topology, program,
                       args, kwargs, statuses[r], send_end, timeout,
-                      trace_paths[r], self.faults),
+                      trace, self.faults),
                 name=f"repro-rank-{r}", daemon=True)
             procs[r].start()
             send_end.close()
@@ -337,21 +312,17 @@ class ProcessMachine:
         if rendezvous is not None:
             rendezvous[0].close()  # parent's copy; rank 0 holds its own
 
-        try:
-            outcomes = self._collect(result_conns, timeout, t_start)
-            elapsed = time.monotonic() - t_start
-            self._reap(procs)
-            result = self._classify(outcomes, statuses, procs, active,
-                                    timeout, elapsed)
-            if trace:
-                from ..obs.runtime import merge_rank_traces
-                result.trace = merge_rank_traces(
-                    [trace_paths[r] for r in active])
-                result.params = self.params
-            return result
-        finally:
-            if trace_tmp is not None:
-                shutil.rmtree(trace_tmp, ignore_errors=True)
+        outcomes = self._collect(result_conns, timeout, t_start)
+        elapsed = time.monotonic() - t_start
+        self._reap(procs)
+        result = self._classify(outcomes, statuses, procs, active,
+                                timeout, elapsed)
+        if trace:
+            from ..obs.runtime import merge_rank_traces
+            result.trace = merge_rank_traces(
+                [outcomes[r][3] for r in active])
+            result.params = self.params
+        return result
 
     # ------------------------------------------------------------------
 
@@ -417,7 +388,7 @@ class ProcessMachine:
         results: List[Any] = [None] * self.nprocs
         rank_times: Dict[int, float] = {}
         for r in active:
-            _, value, t = outcomes[r]
+            _, value, t, _ = outcomes[r]
             results[r] = value
             rank_times[r] = t
         return RuntimeRunResult(results=results, time=elapsed,

@@ -148,15 +148,6 @@ class RankTransport:
             self._outbox.append((dst, tag, payload))
             self._cv.notify()
 
-    def outbox_depth(self) -> int:
-        """Frames enqueued but not yet written to the wire.
-
-        A cheap (lock-free, possibly slightly stale) snapshot for trace
-        records: a growing depth at send-post time means the writer is
-        falling behind the program's eager sends.
-        """
-        return len(self._outbox)
-
     def _write_loop(self) -> None:
         while True:
             with self._cv:

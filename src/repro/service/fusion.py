@@ -27,7 +27,7 @@ allclose contract).  See docs/service.md.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Sequence, Tuple
 
 from .request import CollectiveRequest
 

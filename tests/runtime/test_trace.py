@@ -2,24 +2,23 @@
 
 Covers the wall-clock observability layer of the process backend
 (:mod:`repro.obs.runtime`): the NTP-style offset estimator on synthetic
-skewed clocks, byte-identical re-merges of the same per-rank JSONL,
-the merged p=4 allreduce trace (one aligned track per rank, send->recv
-flow arrows), ``env.mark`` instant events, the trace model and export
-layout it shares with the simulator, and the queue-depth /
-last-progress enrichment of hang diagnoses.
+skewed clocks, byte-identical merges of the same per-rank tracers in
+any order, the merged p=4 allreduce trace (one aligned track per rank,
+send->recv flow arrows), ``env.mark`` instant events, the trace model,
+span attributes and export layout it shares with the simulator, and
+the queue-depth / last-progress enrichment of hang diagnoses.
 """
 
 import json
 import math
-import os
 
 import numpy as np
 import pytest
 
 from repro.core import api
 from repro.core.params import MachineParams
-from repro.obs.runtime import (ClockEstimate, estimate_clock_offset,
-                               merge_rank_traces)
+from repro.obs.runtime import (ClockEstimate, RuntimeTracer,
+                               estimate_clock_offset, merge_rank_traces)
 from repro.obs.trace import Tracer, chrome_trace, write_chrome_trace
 from repro.runtime import ProcessMachine, RuntimeHangDiagnosis
 from repro.sim import LinearArray, Machine
@@ -63,19 +62,14 @@ class TestClockEstimator:
             self._probes(7.5, [0.002, 0.03], asymmetry=0.5))
         assert est.offset_s == pytest.approx(7.5, abs=1e-12)
         assert est.probes == 2
+        est = ClockEstimate(offset_s=-0.25, rtt_s=0.004, probes=8)
+        assert est.uncertainty_s == pytest.approx(0.002)
 
     def test_rejects_degenerate_input(self):
         with pytest.raises(ValueError, match="at least one probe"):
             estimate_clock_offset([])
         with pytest.raises(ValueError, match="before its send"):
             estimate_clock_offset([(5.0, 5.0, 4.9)])
-
-    def test_roundtrips_through_json(self):
-        est = ClockEstimate(offset_s=-0.25, rtt_s=0.004, probes=8)
-        again = ClockEstimate.from_json(
-            json.loads(json.dumps(est.to_json())))
-        assert again == est
-        assert again.uncertainty_s == pytest.approx(0.002)
 
 
 # ----------------------------------------------------------------------
@@ -96,24 +90,46 @@ def _allreduce_prog(env):
     return float(out[0])
 
 
+def _ring_tracers():
+    """Four in-process rank tracers, each on its own skewed clock.
+
+    Rank r's clock reads ``0.5 * r`` behind the reference, so the same
+    instant lands on equal aligned times on every rank: ties the merge
+    must break by rank, not by input order.  Each rank sends one frame
+    to its right neighbour and receives one from its left.
+    """
+    tracers = []
+    for r in range(4):
+        tr = RuntimeTracer(r, ClockEstimate(offset_s=0.5 * r,
+                                            rtt_s=1e-4 * r, probes=8))
+        base = 10.0 - 0.5 * r
+        span = tr.span_open(base, r, "allreduce", phase="op",
+                            attrs={"strategy": "4:M"})
+        tr.mark(base + 0.125, r, "phase:start")
+        tr.send_post(base + 0.25, (r + 1) % 4, 7, 128.0)
+        tr.recv_post(base + 0.25, (r - 1) % 4, 7)
+        tr.match(base + 0.375, (r - 1) % 4, 7)
+        tr.span_close(span, base + 0.5)
+        tracers.append(tr)
+    return tracers
+
+
 class TestMergedTrace:
     @pytest.fixture(scope="class")
-    def traced(self, tmp_path_factory):
-        trace_dir = str(tmp_path_factory.mktemp("rank-traces"))
+    def traced(self):
         # explicit params: auto dispatch prices with the Selector (and
         # records its prediction) whatever profile the host has stored
-        res = ProcessMachine(4, timeout=30, params=PIPE_PARAMS).run(
-            _allreduce_prog, trace=True, trace_dir=trace_dir)
-        return res, trace_dir
+        return ProcessMachine(4, timeout=30, params=PIPE_PARAMS).run(
+            _allreduce_prog, trace=True)
 
     def test_results_and_trace_present(self, traced):
-        res, _ = traced
+        res = traced
         assert res.results == [pytest.approx(sum(range(4)))] * 4
         assert res.trace is not None
         assert res.trace.ranks == [0, 1, 2, 3]
 
     def test_one_aligned_track_per_rank(self, traced):
-        res, _ = traced
+        res = traced
         tr = res.trace
         # rank 0 is the reference; the others carry real estimates
         assert tr.clocks[0].offset_s == 0.0
@@ -127,7 +143,7 @@ class TestMergedTrace:
         assert all(s.label == "allreduce" for s in tr.op_spans())
 
     def test_messages_fully_paired(self, traced):
-        res, _ = traced
+        res = traced
         completed = res.trace.completed()
         assert completed and len(completed) == res.trace.message_count()
         for m in completed:
@@ -135,7 +151,7 @@ class TestMergedTrace:
             assert m.t_match >= 0.0
 
     def test_flow_arrows_pair_send_with_recv(self, traced):
-        res, _ = traced
+        res = traced
         events = chrome_trace(res.trace)["traceEvents"]
         assert sorted({e["pid"] for e in events}) == [0, 1, 2, 3]
         starts = [e for e in events if e["ph"] == "s"]
@@ -153,7 +169,7 @@ class TestMergedTrace:
             assert fin["ts"] >= start["ts"] - slack_us
 
     def test_mark_becomes_instant_event(self, traced):
-        res, _ = traced
+        res = traced
         labels = [label for _, _, label in res.trace.marks]
         assert labels.count("phase:start") == 4
         assert labels.count("phase:done") == 4
@@ -162,21 +178,31 @@ class TestMergedTrace:
                     if e["ph"] == "i" and e["name"] == "phase:start"]
         assert len(instants) == 4
 
-    def test_merge_is_deterministic(self, traced, tmp_path):
-        _, trace_dir = traced
-        paths = sorted(os.path.join(trace_dir, f)
-                       for f in os.listdir(trace_dir))
-        assert len(paths) == 4
+    def test_merge_is_deterministic(self, tmp_path):
+        tracers = _ring_tracers()
+        merged = merge_rank_traces(tracers)
+        assert merged.ranks == [0, 1, 2, 3]
+        assert len(merged.completed()) == merged.message_count() == 4
         out_a = str(tmp_path / "a.trace.json")
         out_b = str(tmp_path / "b.trace.json")
-        write_chrome_trace(merge_rank_traces(paths), out_a)
-        write_chrome_trace(merge_rank_traces(list(reversed(paths))),
+        write_chrome_trace(merged, out_a)
+        write_chrome_trace(merge_rank_traces(list(reversed(tracers))),
                            out_b)
         with open(out_a, "rb") as fa, open(out_b, "rb") as fb:
             assert fa.read() == fb.read()
 
+    def test_span_attrs_match_simulated_types(self, traced):
+        sim = Machine(LinearArray(4), PIPE_PARAMS, trace=True).run(
+            _allreduce_prog)
+
+        def attr_types(trace):
+            return {(s.rank, k): type(v) for s in trace.op_spans()
+                    for k, v in s.attrs.items()}
+
+        assert attr_types(traced.trace) == attr_types(sim.trace)
+
     def test_backends_share_trace_model_and_layout(self, traced):
-        res, _ = traced
+        res = traced
         sim = Machine(LinearArray(4), PIPE_PARAMS, trace=True).run(
             _allreduce_prog)
         for trace in (res.trace, sim.trace):
@@ -196,7 +222,7 @@ class TestMergedTrace:
                 == sorted(s.label for s in sim.trace.op_spans()))
 
     def test_audit_pairs_prediction_with_wall_window(self, traced):
-        res, _ = traced
+        res = traced
         audit = res.audit
         assert len(audit.entries) == 1
         entry = audit.entries[0]
@@ -216,15 +242,9 @@ class TestTraceMiscellany:
         assert res.audit is None
 
     def test_merge_rejects_bad_input(self):
-        with pytest.raises(ValueError, match="empty rank trace"):
-            merge_rank_traces([[]])
-        with pytest.raises(ValueError, match="header"):
-            merge_rank_traces([['{"ev": "mark"}']])
-        header = json.dumps({"ev": "header", "version": 999, "rank": 0,
-                             "nranks": 1, "transport": "local",
-                             "clock": ClockEstimate(0, 0, 0).to_json()})
-        with pytest.raises(ValueError, match="version"):
-            merge_rank_traces([[header]])
+        with pytest.raises(ValueError, match="duplicate ranks"):
+            merge_rank_traces([RuntimeTracer(1, ClockEstimate(0, 0, 0))
+                               for _ in range(2)])
 
     def test_cli_writes_merged_trace(self, tmp_path, capsys):
         from repro.runtime import launch as launch_mod

@@ -20,7 +20,7 @@ from repro.core.faults import (FaultDiagnosis, FaultSchedule, LinkFault,
 from repro.sim import (DeadlockError, LinearArray, Machine, Mesh2D, PARAGON,
                        Ring, Torus2D, UNIT)
 
-from .spmd_corpus import canonical_results, run_entry
+from .spmd_corpus import run_entry
 
 
 def _send_prog(src, dst, n=1000):
