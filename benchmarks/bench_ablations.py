@@ -15,13 +15,12 @@
    1.5 / 2.0 so the Table 3 shape can be read against an "honest-wire"
    NX too."""
 
-import math
 import os
 
 import numpy as np
 import pytest
 
-from repro.analysis import format_table, human_bytes, write_csv
+from repro.analysis import format_table, write_csv
 from repro.baselines.nx import nx_bcast
 from repro.core import CostModel, Strategy, api
 from repro.core.context import CollContext

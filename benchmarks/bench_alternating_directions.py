@@ -9,7 +9,6 @@ as beta dominates."""
 import os
 
 import numpy as np
-import pytest
 
 from repro.analysis import format_table, human_bytes, write_csv
 from repro.core.bidirectional import (bidirectional_collect,

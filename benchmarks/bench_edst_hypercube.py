@@ -17,7 +17,6 @@ section 11):
 import os
 
 import numpy as np
-import pytest
 
 from repro.analysis import format_table, human_bytes, write_csv
 from repro.core import api

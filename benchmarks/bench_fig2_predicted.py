@@ -7,13 +7,9 @@ broadcast wins short, deep scatter/collect hybrids win long, and the
 lower envelope (what the library's selector delivers) tracks the best
 of all of them."""
 
-import math
 import os
 
-import pytest
-
-from repro.analysis import (Series, format_table, human_bytes, plot_series,
-                            series_to_rows, write_csv)
+from repro.analysis import Series, plot_series, series_to_rows, write_csv
 from repro.core import CostModel, Selector, Strategy
 from repro.sim import PARAGON
 

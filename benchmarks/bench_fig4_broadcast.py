@@ -7,11 +7,9 @@ algorithms as the collect figure and additionally verify that the
 non-power-of-two machine costs only marginally more than a comparable
 power-of-two one."""
 
-import math
 import os
 
 import numpy as np
-import pytest
 
 from repro.analysis import (format_table, human_bytes, plot_series,
                             series_to_rows, sweep_operation, write_csv)

@@ -11,9 +11,8 @@ beats the single-technique baseline for long vectors."""
 import os
 
 import numpy as np
-import pytest
 
-from repro.analysis import (Series, format_table, human_bytes, plot_series,
+from repro.analysis import (format_table, human_bytes, plot_series,
                             series_to_rows, sweep_operation, write_csv)
 from repro.baselines.nx import nx_collect
 from repro.core.context import CollContext

@@ -19,7 +19,6 @@ halving+doubling for long ones."""
 import os
 
 import numpy as np
-import pytest
 
 from repro.analysis import format_table, human_bytes, write_csv
 from repro.core.context import CollContext

@@ -26,12 +26,10 @@ Paper's measured rows for reference:
 import os
 
 import numpy as np
-import pytest
 
 from repro.analysis import (TABLE3_LENGTHS, format_table, human_bytes,
                             write_csv)
 from repro.baselines import NXInterface
-from repro.core import api
 from repro.core.partition import partition_offsets, partition_sizes
 from repro.sim import Machine, Mesh2D, PARAGON
 

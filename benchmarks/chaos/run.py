@@ -30,7 +30,7 @@ import os
 import sys
 import time
 
-from .cases import ALLOWED, GRIDS, case_id, run_case, run_case_entry
+from .cases import ALLOWED, GRIDS, run_case, run_case_entry
 
 _HERE = os.path.dirname(os.path.abspath(__file__))
 _REPO = os.path.dirname(os.path.dirname(_HERE))

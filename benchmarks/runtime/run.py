@@ -40,7 +40,8 @@ collective entry).
 
 A third experiment rides along since runtime tracing landed: every
 collective is re-measured with ``trace=True`` (the ``wall_s_traced``
-column), and a dedicated two-rank ping-pong compares traced vs
+column), and the calibration pass's two-rank ping-pong
+(:func:`repro.analysis.calibrate.pingpong_prog`) compares traced vs
 untraced round trips (min over interleaved trials — the robust
 statistic for an overhead comparison), pinned to one CPU and reported
 next to the untraced trials' own A/A spread.  ``--check`` additionally
@@ -57,9 +58,7 @@ import platform
 import socket
 import statistics
 import sys
-import time
 
-import numpy as np
 
 _HERE = os.path.dirname(os.path.abspath(__file__))
 _REPO = os.path.dirname(os.path.dirname(_HERE))
@@ -122,33 +121,10 @@ def measure_collectives(machine, ns, reps, trials, fitted_params):
     return out
 
 
-def _timed_pingpong_prog(nbytes, reps):
-    """Two-rank ping-pong; returns mean seconds per round trip.
-
-    The timed region starts after a barrier and contains only the
-    send/recv loop — on traced runs the clock-sync exchange happened
-    before the program even started, so any slowdown measured here is
-    pure collector overhead (the per-event dict appends).
-    """
-    def prog(env):
-        from repro.core import api
-        payload = np.zeros(max(nbytes // 8, 1), dtype=np.float64)
-        yield from api.barrier(env)
-        t0 = time.perf_counter()
-        for k in range(reps):
-            if env.rank == 0:
-                yield env.send(1, payload, tag=k)
-                yield env.recv(1, tag=k)
-            else:
-                got = yield env.recv(0, tag=k)
-                yield env.send(0, got, tag=k)
-        return (time.perf_counter() - t0) / reps
-    return prog
-
-
 def measure_trace_overhead(machine, reps, trials,
                            nbytes: int = 1024) -> dict:
-    """Traced vs untraced ping-pong round trips on two ranks.
+    """Traced vs untraced ping-pong round trips on two ranks: the
+    calibration pass's own ping-pong, after its warm-up round trip.
 
     Interleaves traced and untraced trials (so OS noise hits both
     alike) and compares the **min** of each — the robust statistic for
@@ -163,10 +139,12 @@ def measure_trace_overhead(machine, reps, trials,
     odd trials over min of the even ones, minus one): an ``overhead``
     no larger than it has not resolved.
     """
+    from repro.analysis.calibrate import pingpong_prog
+
     def once(trace: bool) -> float:
-        res = machine.run(_timed_pingpong_prog(nbytes, reps),
-                          trace=trace)
-        return max(t for t in res.results if t is not None)
+        res = machine.run(pingpong_prog(nbytes, reps), trace=trace)
+        # rank 0 returns half a round trip
+        return 2.0 * max(t for t in res.results if t is not None)
 
     # rank processes are forked per run and inherit the pinning
     affinity = os.sched_getaffinity(0)

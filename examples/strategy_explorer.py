@@ -15,7 +15,6 @@ import sys
 
 from repro.analysis import format_table, human_bytes
 from repro.core import Selector
-from repro.core.selection import linear_interleaves
 from repro.sim import PARAGON
 
 

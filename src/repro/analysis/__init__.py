@@ -5,9 +5,8 @@ from .critpath import (CritSpan, critical_path,
                        critical_path_summary,
                        render_critical_path)
 from .calibrate import (TrialSample, aggregate_trials, calibrate,
-                        fit_alpha_beta, measure_gamma, measure_overhead,
-                        measure_pingpong, measure_pingpong_trials,
-                        trial_spread)
+                        fit_alpha_beta, gamma_prog, overhead_prog,
+                        pingpong_prog, probe, ring_prog, trial_spread)
 from .sweep import (Series, TABLE3_LENGTHS, byte_grid, elements_for,
                     run_operation, sweep_operation)
 from .tables import format_table, human_bytes, write_csv
@@ -18,8 +17,8 @@ __all__ = [
     "CritSpan", "critical_path", "critical_path_summary",
     "render_critical_path",
     "TrialSample", "aggregate_trials", "calibrate", "fit_alpha_beta",
-    "measure_gamma", "measure_overhead", "measure_pingpong",
-    "measure_pingpong_trials", "trial_spread",
+    "gamma_prog", "overhead_prog", "pingpong_prog", "probe", "ring_prog",
+    "trial_spread",
     "Series", "TABLE3_LENGTHS", "byte_grid",
     "elements_for", "run_operation", "sweep_operation",
     "format_table", "human_bytes", "write_csv",

@@ -14,7 +14,11 @@ constants fitted to *this* host instead of 1994 presets (explicit
 ``params=`` always wins).
 
 Calibration methodology (the measured-characterisation approach of
-Barchet-Estefanel & Mounié, PAPERS.md cs/0408032):
+Barchet-Estefanel & Mounié, PAPERS.md cs/0408032).  The probe programs
+and the trial loop are the simulator's own, from
+:mod:`repro.analysis.calibrate`, timed on the rank's wall clock; that
+module is imported only when a pass runs, so a profile lookup does not
+load the simulator:
 
 * **three ping-pong probes at increasing concurrency** — a plain
   2-process ping-pong (one message in flight), disjoint pairs on ``c``
@@ -28,14 +32,11 @@ Barchet-Estefanel & Mounié, PAPERS.md cs/0408032):
   in — while every per-probe fit is kept as provenance;
 * **repeated trials with a deterministic aggregator** (median by
   default, min-of-k available) and recorded per-length dispersion, so
-  one scheduler hiccup cannot skew a persisted constant
-  (:func:`repro.analysis.calibrate.aggregate_trials`);
-* **gamma from real arithmetic** — timed ``np.add`` on one rank
-  (``env.compute`` is a model annotation and free on this backend, so
-  the simulator-oriented :func:`~repro.analysis.calibrate.measure_gamma`
-  would measure nothing here);
-* **per-request software overhead** — timed no-op request dispatch
-  through the env progress loop;
+  one scheduler hiccup cannot skew a persisted constant;
+* **gamma from real arithmetic** — timed ``np.add`` on one rank (the
+  probe's ``env.compute`` charge is free on this backend);
+* **per-request software overhead** — timed ``env.overhead()``
+  dispatch through the env progress loop;
 * **drift refit** — the audit layer's check
   (:mod:`repro.obs.audit`-style relative errors) comparing the
   uncontended fit against the effective constants, recorded as the
@@ -62,14 +63,10 @@ import socket
 import sys
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from functools import partial
+from typing import Dict, Optional, Sequence
 
-import numpy as np
-
-from ..analysis.calibrate import (TrialSample, aggregate_trials,
-                                  fit_alpha_beta, trial_spread)
 from ..core.params import MachineParams
-from ..obs.audit import _rel_err
 
 PROFILE_VERSION = 1
 
@@ -248,112 +245,8 @@ def load_profile_params(transport: str, path: Optional[str] = None
 
 
 # ----------------------------------------------------------------------
-# calibration rank programs (timed inside the ranks, wall clock around
-# the message loop — process spawn and mesh wiring excluded)
-# ----------------------------------------------------------------------
-
-
-def pingpong_prog(nbytes: int, reps: int, echo_delay_s: float = 0.0):
-    """Disjoint-pair ping-pong: rank ``2i`` exchanges with ``2i+1``.
-
-    On 2 ranks this is the plain uncontended probe; on ``c`` ranks it
-    drives ``c/2`` concurrent messages.  Even ranks return their mean
-    half-round-trip seconds.  ``echo_delay_s`` injects a known extra
-    delay at the echo side (round-trip test hook: a synthetic machine
-    with chosen constants on top of the real transport).
-    """
-    def prog(env):
-        payload = np.zeros(int(nbytes), dtype=np.uint8)
-        other = env.rank ^ 1
-        if env.rank % 2 == 0:
-            yield env.send(other, payload)      # warm the path
-            yield env.recv(other)
-            t0 = time.perf_counter()
-            for _ in range(reps):
-                yield env.send(other, payload)
-                yield env.recv(other)
-            return (time.perf_counter() - t0) / (2.0 * reps)
-        for _ in range(reps + 1):
-            got = yield env.recv(other)
-            if echo_delay_s > 0.0:
-                yield env.delay(echo_delay_s)
-            yield env.send(other, got)
-        return None
-    return prog
-
-
-def ring_prog(nbytes: int, reps: int):
-    """Full ring exchange: every rank sends to ``(r+1) % p`` and
-    receives from ``(r-1) % p`` — ``p`` messages in flight per step.
-    Each rank returns its mean per-step seconds.
-    """
-    def prog(env):
-        payload = np.zeros(int(nbytes), dtype=np.uint8)
-        nxt = (env.rank + 1) % env.nranks
-        prv = (env.rank - 1) % env.nranks
-        s = env.isend(nxt, payload)             # warm the path
-        r = env.irecv(prv)
-        yield env.waitall(s, r)
-        t0 = time.perf_counter()
-        for _ in range(reps):
-            s = env.isend(nxt, payload)
-            r = env.irecv(prv)
-            yield env.waitall(s, r)
-        return (time.perf_counter() - t0) / reps
-    return prog
-
-
-def gamma_prog(nelems: int, reps: int):
-    """Per-element combine time from real ``np.add`` on one rank."""
-    def prog(env):
-        a = np.arange(nelems, dtype=np.float64)
-        b = np.ones(nelems, dtype=np.float64)
-        out = np.empty_like(a)
-        np.add(a, b, out=out)                   # warm caches/ufunc
-        t0 = time.perf_counter()
-        for _ in range(reps):
-            np.add(a, b, out=out)
-        elapsed = time.perf_counter() - t0
-        yield env.delay(0.0)
-        return elapsed / (reps * nelems)
-    return prog
-
-
-def overhead_prog(calls: int):
-    """Per-request dispatch cost of the env progress loop."""
-    def prog(env):
-        yield env.delay(0.0)                    # warm the dispatch path
-        t0 = time.perf_counter()
-        for _ in range(calls):
-            yield env.delay(0.0)
-        return (time.perf_counter() - t0) / calls
-    return prog
-
-
-# ----------------------------------------------------------------------
 # the calibration pass
 # ----------------------------------------------------------------------
-
-
-def _probe(machine, make_prog, lengths: Sequence[int], reps: int,
-           trials: int, aggregate: str) -> List[dict]:
-    """Run one ping-pong-style probe: per length, repeated trials of
-    the max-over-ranks measurement, reduced deterministically."""
-    samples = []
-    for nbytes in lengths:
-        raw = []
-        for _ in range(trials):
-            res = machine.run(make_prog(nbytes, reps))
-            raw.append(max(t for t in res.results if t is not None))
-        samples.append(TrialSample(
-            nbytes=int(nbytes), value=aggregate_trials(raw, aggregate),
-            trials=tuple(float(t) for t in raw),
-            spread=trial_spread(raw)).to_json())
-    return samples
-
-
-def _fit(samples: Sequence[dict]) -> Tuple[float, float]:
-    return fit_alpha_beta([(s["nbytes"], s["value"]) for s in samples])
 
 
 def calibrate_runtime(transport: str = "local",
@@ -370,51 +263,58 @@ def calibrate_runtime(transport: str = "local",
     overhead, and ``link_capacity=1.0`` (a single shared host has no
     excess link bandwidth to probe).  Use :func:`save_profile` to
     persist it, or :func:`ensure_profile` for the load-or-calibrate
-    convenience.
+    convenience.  ``concurrency_ranks`` must be even, so that the pair
+    probe's ``2i <-> 2i+1`` pairs keep every rank busy.
     """
+    if concurrency_ranks < 2 or concurrency_ranks % 2:
+        raise ValueError(f"concurrency_ranks must be even and >= 2, "
+                         f"got {concurrency_ranks}")
+    from ..analysis.calibrate import (fit_alpha_beta, gamma_prog,
+                                      overhead_prog, pingpong_prog, probe,
+                                      ring_prog)
+    from ..obs.audit import _rel_err
     from .launch import ProcessMachine
 
     def say(msg):
         if progress is not None:
             progress(msg)
 
+    def measure(machine, make_prog, lengths):
+        return probe(machine, make_prog, lengths, trials=trials,
+                     aggregate=aggregate)
+
+    pingpong = partial(pingpong_prog, reps=reps)
     say(f"calibrating {transport!r} transport: ping-pong probe (2 ranks)")
     pp2 = ProcessMachine(2, transport=transport, timeout=timeout)
-    uncontended = _probe(pp2, pingpong_prog, lengths, reps, trials,
-                         aggregate)
-    alpha_u, beta_u = _fit(uncontended)
+    uncontended = measure(pp2, pingpong, lengths)
+    alpha_u, beta_u = fit_alpha_beta(uncontended)
 
     say(f"contended probes ({concurrency_ranks} ranks: disjoint pairs, "
         f"full ring)")
     ppc = ProcessMachine(concurrency_ranks, transport=transport,
                          timeout=timeout)
-    pairs = _probe(ppc, pingpong_prog, lengths, reps, trials, aggregate)
-    ring = _probe(ppc, ring_prog, lengths, reps, trials, aggregate)
+    pairs = measure(ppc, pingpong, lengths)
+    ring = measure(ppc, partial(ring_prog, reps=reps), lengths)
     # effective constants: one line through every contended sample —
     # the concurrency regime collective stages actually run in
-    pooled = [(s["nbytes"], s["value"]) for s in pairs + ring]
-    alpha_e, beta_e = fit_alpha_beta(pooled)
+    alpha_e, beta_e = fit_alpha_beta(pairs + ring)
 
     say("gamma (np.add) and per-request overhead probes (1 rank)")
     single = ProcessMachine(1, transport="local", timeout=timeout)
-    gamma_raw = [single.run(gamma_prog(65536, 20)).results[0]
-                 for _ in range(trials)]
-    gamma = aggregate_trials(gamma_raw, aggregate)
-    ovh_raw = [single.run(overhead_prog(256)).results[0]
-               for _ in range(trials)]
-    overhead = aggregate_trials(ovh_raw, aggregate)
+    (gamma,) = measure(single, partial(gamma_prog, reps=20), [65536])
+    (overhead,) = measure(single, overhead_prog, [256])
 
-    params = MachineParams(alpha=alpha_e, beta=max(beta_e, 0.0),
-                           gamma=max(gamma, 0.0),
-                           sw_overhead=max(overhead, 0.0),
-                           link_capacity=1.0)
-    spreads = [s["spread"] for s in uncontended + pairs + ring]
+    params = MachineParams(alpha=alpha_e, beta=beta_e, gamma=gamma.value,
+                           sw_overhead=overhead.value, link_capacity=1.0)
+    probes = {"uncontended": (2, 1, uncontended),
+              "pairs": (concurrency_ranks, concurrency_ranks // 2, pairs),
+              "ring": (concurrency_ranks, concurrency_ranks, ring)}
+    spreads = sorted(s.spread for s in uncontended + pairs + ring)
     noise = {
-        "max_rel_spread": max(spreads) if spreads else 0.0,
-        "median_rel_spread": (sorted(spreads)[len(spreads) // 2]
-                              if spreads else 0.0),
-        "gamma_rel_spread": trial_spread(gamma_raw),
-        "overhead_rel_spread": trial_spread(ovh_raw),
+        "max_rel_spread": spreads[-1],
+        "median_rel_spread": spreads[len(spreads) // 2],
+        "gamma_rel_spread": gamma.spread,
+        "overhead_rel_spread": overhead.spread,
     }
     provenance = {
         "lengths": [int(n) for n in lengths],
@@ -422,30 +322,14 @@ def calibrate_runtime(transport: str = "local",
         "trials": trials,
         "aggregate": aggregate,
         "probes": {
-            "uncontended": {
-                "nprocs": 2, "concurrent_messages": 1,
-                "samples": uncontended,
-                "fit": {"alpha_s": alpha_u, "beta_s_per_byte": beta_u},
-            },
-            "pairs": {
-                "nprocs": concurrency_ranks,
-                "concurrent_messages": concurrency_ranks // 2,
-                "samples": pairs,
-                "fit": dict(zip(("alpha_s", "beta_s_per_byte"),
-                                _fit(pairs))),
-            },
-            "ring": {
-                "nprocs": concurrency_ranks,
-                "concurrent_messages": concurrency_ranks,
-                "samples": ring,
-                "fit": dict(zip(("alpha_s", "beta_s_per_byte"),
-                                _fit(ring))),
-            },
-        },
-        "gamma": {"trials": [float(g) for g in gamma_raw],
-                  "nelems": 65536, "reps": 20},
-        "overhead": {"trials": [float(o) for o in ovh_raw],
-                     "calls": 256},
+            name: {"nprocs": nprocs, "concurrent_messages": messages,
+                   "samples": [s.to_json() for s in samples],
+                   "fit": dict(zip(("alpha_s", "beta_s_per_byte"),
+                                   fit_alpha_beta(samples)))}
+            for name, (nprocs, messages, samples) in probes.items()},
+        "gamma": {"trials": list(gamma.trials), "nelems": 65536,
+                  "reps": 20},
+        "overhead": {"trials": list(overhead.trials), "calls": 256},
         # the audit layer's drift refit: how far the effective
         # (contended) constants drift from the uncontended fit — the
         # host's contention signature, zero-ish on an idle multi-core

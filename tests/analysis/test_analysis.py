@@ -1,14 +1,11 @@
 """Tests for the analysis harness: sweeps, tables, ASCII figures."""
 
-import os
-
-import numpy as np
 import pytest
 
 from repro.analysis import (Series, byte_grid, elements_for, format_table,
                             human_bytes, plot_series, run_operation,
                             series_to_rows, sweep_operation, write_csv)
-from repro.sim import LinearArray, Machine, Mesh2D, PARAGON, UNIT
+from repro.sim import LinearArray, Machine, UNIT
 
 
 class TestSeries:

@@ -1,36 +1,50 @@
 """Tests for machine characterization (the section 11 porting story)."""
 
+import math
+from functools import partial
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from repro.analysis import (aggregate_trials, calibrate, fit_alpha_beta,
-                            measure_gamma, measure_overhead,
-                            measure_pingpong, measure_pingpong_trials,
-                            trial_spread)
+                            gamma_prog, overhead_prog, pingpong_prog,
+                            probe, trial_spread)
+from repro.runtime import ProcessMachine
 from repro.sim import (DELTA, LinearArray, Machine, Mesh2D, PARAGON,
                        MachineParams, UNIT)
+
+
+def halftrips(machine, lengths, pair=None, trials=1, aggregate="median"):
+    """``(length, half round trip)`` points of the shared ping-pong."""
+    return [(s.nbytes, s.value)
+            for s in probe(machine, partial(pingpong_prog, pair=pair),
+                           lengths, trials=trials, aggregate=aggregate)]
 
 
 class TestPingPong:
     def test_halftrip_is_alpha_plus_n_beta(self):
         m = Machine(LinearArray(4), UNIT)
-        samples = measure_pingpong(m, [0, 10, 100])
+        samples = halftrips(m, [0, 10, 100])
+        assert samples == [(0, 1.0), (10, 11.0), (100, 101.0)]
+
+    def test_odd_world_idles_the_unpaired_rank(self):
+        m = Machine(LinearArray(3), UNIT)
+        samples = halftrips(m, [0, 10, 100])
         assert samples == [(0, 1.0), (10, 11.0), (100, 101.0)]
 
     def test_distance_insensitive(self):
         """Wormhole routing: the far corner costs the same as the
         neighbor."""
         m = Machine(Mesh2D(4, 8), PARAGON)
-        near = measure_pingpong(m, [1024], src=0, dst=1)
-        far = measure_pingpong(m, [1024], src=0, dst=31)
+        near = halftrips(m, [1024], pair=(0, 1))
+        far = halftrips(m, [1024], pair=(0, 31))
         assert near[0][1] == pytest.approx(far[0][1])
 
     def test_same_node_rejected(self):
         m = Machine(LinearArray(2), UNIT)
         with pytest.raises(ValueError):
-            measure_pingpong(m, [8], src=0, dst=0)
+            halftrips(m, [8], pair=(0, 0))
 
 
 class TestFitting:
@@ -99,7 +113,8 @@ class TestAggregation:
     def test_trials_are_noops_on_deterministic_sim(self):
         m = Machine(Mesh2D(4, 8), PARAGON)
         assert calibrate(m, trials=3) == calibrate(m)
-        samples = measure_pingpong_trials(m, [0, 1024], trials=3)
+        samples = probe(m, pingpong_prog, [0, 1024], trials=3,
+                        aggregate="median")
         for s in samples:
             assert len(s.trials) == 3
             assert s.spread == 0.0
@@ -107,7 +122,7 @@ class TestAggregation:
 
     def test_trial_sample_provenance_json(self):
         m = Machine(LinearArray(4), UNIT)
-        (s,) = measure_pingpong_trials(m, [10], trials=2)
+        (s,) = probe(m, pingpong_prog, [10], trials=2, aggregate="median")
         d = s.to_json()
         assert d == {"nbytes": 10, "value": 11.0,
                      "trials": [11.0, 11.0], "spread": 0.0}
@@ -115,25 +130,26 @@ class TestAggregation:
     def test_trials_must_be_positive(self):
         m = Machine(LinearArray(2), UNIT)
         with pytest.raises(ValueError, match="trials"):
-            measure_pingpong_trials(m, [8], trials=0)
+            probe(m, pingpong_prog, [8], trials=0, aggregate="median")
 
 
 class _JitterMachine:
     """The exact simulator plus seeded one-sided timing noise — a stand
-    in for a real host where the OS only ever makes you *slower*."""
+    in for a real host where the OS only ever makes you *slower*.
+
+    One draw of noise lengthens each run's round trip, so every rank's
+    half-round-trip result carries half of it."""
 
     def __init__(self, inner, scale, seed):
         self._inner = inner
         self._rng = np.random.default_rng(seed)
         self._scale = scale
-        self.nnodes = inner.nnodes
-        self.topology = inner.topology
 
     def run(self, *args, **kwargs):
         res = self._inner.run(*args, **kwargs)
         noise = float(self._rng.exponential(self._scale))
-        return SimpleNamespace(time=res.time + noise,
-                               results=getattr(res, "results", None))
+        return SimpleNamespace(results=[
+            None if r is None else r + noise / 2.0 for r in res.results])
 
 
 class TestJitterStability:
@@ -146,8 +162,8 @@ class TestJitterStability:
     def _fit(self, seed, trials, aggregate):
         noisy = _JitterMachine(Machine(LinearArray(2), UNIT),
                                scale=2.0, seed=seed)
-        samples = measure_pingpong(noisy, self.LENGTHS, trials=trials,
-                                   aggregate=aggregate)
+        samples = halftrips(noisy, self.LENGTHS, trials=trials,
+                            aggregate=aggregate)
         return fit_alpha_beta(samples)
 
     def test_min_of_k_recovers_truth(self):
@@ -179,7 +195,8 @@ class TestJitterStability:
         # dispersion is recorded on every sample
         noisy = _JitterMachine(Machine(LinearArray(2), UNIT),
                                scale=2.0, seed=11)
-        samples = measure_pingpong_trials(noisy, [0], trials=5)
+        samples = probe(noisy, pingpong_prog, [0], trials=5,
+                        aggregate="median")
         assert samples[0].spread > 0.0
 
 
@@ -206,8 +223,12 @@ class TestFullCalibration:
     def test_gamma_and_overhead_probes(self):
         m = Machine(LinearArray(2), UNIT.with_(gamma=0.25,
                                                sw_overhead=3.0))
-        assert measure_gamma(m, 100) == pytest.approx(0.25)
-        assert measure_overhead(m, 10) == pytest.approx(3.0)
+        (gamma,) = probe(m, gamma_prog, [100], trials=1,
+                         aggregate="median")
+        (overhead,) = probe(m, overhead_prog, [10], trials=1,
+                            aggregate="median")
+        assert gamma.value == pytest.approx(0.25)
+        assert overhead.value == pytest.approx(3.0)
 
     def test_fitted_params_drive_identical_selection(self):
         """The point of the exercise: the selector fed with fitted
@@ -224,3 +245,31 @@ class TestFullCalibration:
             # way under 1e-15 parameter noise; the *predicted cost* of
             # the chosen strategies must agree
             assert b.cost == pytest.approx(a.cost, rel=1e-9), n
+
+
+class TestCrossBackendProbe:
+    def test_same_programs_measure_both_backends(self):
+        """One set of probe programs: exact alpha + n beta, gamma and
+        overhead on the simulator; finite, positive wall seconds on
+        real processes."""
+        probes = [(pingpong_prog, [0, 10, 100]), (gamma_prog, [100]),
+                  (overhead_prog, [10])]
+        sim = Machine(LinearArray(2), UNIT.with_(gamma=0.25,
+                                                 sw_overhead=3.0))
+        pingpong, (gamma,), (overhead,) = (
+            probe(sim, make_prog, lengths, trials=1, aggregate="median")
+            for make_prog, lengths in probes)
+        assert [(s.nbytes, s.value) for s in pingpong] == [
+            (0, 1.0), (10, 11.0), (100, 101.0)]
+        assert gamma.value == pytest.approx(0.25)
+        assert overhead.value == pytest.approx(3.0)
+
+        real = ProcessMachine(2, use_profile=False, timeout=60)
+        for make_prog, lengths in probes:
+            samples = probe(real, make_prog, lengths, trials=2,
+                            aggregate="median")
+            assert [s.nbytes for s in samples] == lengths
+            for s in samples:
+                assert len(s.trials) == 2
+                for t in s.trials + (s.value,):
+                    assert math.isfinite(t) and t > 0.0

@@ -10,7 +10,6 @@ end-to-end: the regret sweep grid with 1 vs N workers must serialize to
 byte-identical ``AUDIT_model.json`` payloads.
 """
 
-import json
 import os
 
 import pytest

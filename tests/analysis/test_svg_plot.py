@@ -1,9 +1,5 @@
 """Tests for the SVG figure writer."""
 
-import os
-
-import pytest
-
 from repro.analysis import Series, render_svg, write_svg
 
 

@@ -1,8 +1,5 @@
 """Shared fixtures and helpers for the core-library tests."""
 
-import numpy as np
-import pytest
-
 from repro.core.context import CollContext
 from repro.sim import LinearArray, Machine, Mesh2D, UNIT
 

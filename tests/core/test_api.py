@@ -11,7 +11,7 @@ from repro.core.strategy import Strategy
 from repro.core.validation import (ref_allreduce, ref_bcast, ref_collect,
                                    ref_reduce, ref_reduce_scatter,
                                    ref_scatter)
-from repro.sim import LinearArray, Machine, Mesh2D, PARAGON, UNIT
+from repro.sim import PARAGON
 
 from .conftest import run_linear, run_mesh
 

@@ -5,7 +5,6 @@ import pytest
 
 from repro.core import Communicator
 from repro.core.cartesian import CartGrid
-from repro.sim import LinearArray, Machine, Mesh2D, UNIT
 
 from .conftest import run_linear, run_mesh
 

@@ -7,7 +7,6 @@ import pytest
 
 from repro.core import Communicator
 from repro.core.protocol import RankEnvBase
-from repro.sim import LinearArray, Machine, Mesh2D, UNIT
 
 from .conftest import run_linear, run_mesh
 

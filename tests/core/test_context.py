@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.core.context import CollContext
-from repro.sim import LinearArray, Machine, UNIT
 
 from .conftest import run_linear
 

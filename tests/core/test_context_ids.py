@@ -9,8 +9,6 @@ never collide.
 
 from types import SimpleNamespace
 
-import pytest
-
 from repro.core.communicator import _FANOUT, Communicator
 
 

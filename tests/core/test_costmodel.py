@@ -1,8 +1,6 @@
 """Tests for the closed-form cost model — including the Table 2
 reproduction, which pins the section 6 hybrid formulas."""
 
-import math
-
 import pytest
 
 from repro.core import CostModel, Strategy, ceil_log2

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import CostModel, Strategy, api, candidates
+from repro.core import CostModel, api, candidates
 from repro.core.context import CollContext
 from repro.core import hybrid
 from repro.sim import LinearArray, Machine, PARAGON, UNIT

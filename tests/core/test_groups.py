@@ -9,7 +9,7 @@ import pytest
 
 from repro.core import api, classify, groups
 from repro.core.context import CollContext
-from repro.core.groups import Group, GroupStructure
+from repro.core.groups import Group
 from repro.sim import (PARAGON, UNIT, Hypercube, LinearArray, Machine,
                        Mesh2D, Ring)
 

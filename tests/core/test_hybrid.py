@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import Strategy, api, candidates, partition_sizes
+from repro.core import Strategy, api, candidates
 from repro.core.context import CollContext
 from repro.core import hybrid
 from repro.sim import LinearArray, Machine, UNIT

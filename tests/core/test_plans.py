@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from repro.core import Strategy, api
-from repro.core.plans import Plan, make_plan
+from repro.core.plans import make_plan
 from repro.core.strategy import OPERATIONS
-from repro.sim import LinearArray, Machine, PARAGON, UNIT
+from repro.sim import PARAGON
 
 from .conftest import run_linear
 

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from repro.core import partition_offsets, partition_sizes
 from repro.core.context import CollContext
 from repro.core.primitives_long import bucket_collect, bucket_reduce_scatter
-from repro.sim import UNIT
 
 from .conftest import run_linear
 

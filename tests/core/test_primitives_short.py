@@ -13,7 +13,7 @@ from repro.core import CostModel, partition_offsets, partition_sizes
 from repro.core.context import CollContext
 from repro.core.primitives_short import (mst_bcast, mst_gather, mst_reduce,
                                          mst_scatter)
-from repro.sim import LinearArray, Machine, UNIT
+from repro.sim import UNIT
 
 from .conftest import run_linear
 

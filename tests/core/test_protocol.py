@@ -65,6 +65,34 @@ def test_runtime_imports_without_loading_simulator():
     assert proc.stdout.strip() == "clean"
 
 
+def test_profile_lookup_loads_no_simulator(tmp_path):
+    """A ``ProcessMachine`` that loads a stored profile imports neither
+    the simulator, the chaos autopilot nor the analysis harness: only a
+    calibration pass needs the probe programs."""
+    code = (
+        "import sys, time\n"
+        "from repro.core.params import PARAGON\n"
+        "from repro.runtime import ProcessMachine\n"
+        "from repro.runtime import profile\n"
+        "profile.save_profile(profile.MachineProfile(\n"
+        "    host=profile.host_tag(), platform=profile.platform_tag(),\n"
+        "    transport='local', params=PARAGON, created=time.time()))\n"
+        "m = ProcessMachine(2)\n"
+        "assert m.params == PARAGON and m.profile is not None\n"
+        "bad = sorted(m for m in sys.modules if m.startswith(\n"
+        "    ('repro.sim', 'repro.chaos', 'repro.analysis')))\n"
+        "assert not bad, f'modules leaked: {bad}'\n"
+        "print('clean')\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(_SRC),
+               REPRO_PROFILE_PATH=str(tmp_path / "profiles.json"))
+    env.pop("REPRO_AUTOTUNE", None)
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "clean"
+
+
 def test_core_never_posts_into_the_simulator_engine():
     """Core code posts through ``env.isend``/``env.irecv`` only: no
     module under ``repro.core`` may reach the engine's message layer."""

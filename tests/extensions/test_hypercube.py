@@ -1,8 +1,6 @@
 """Tests for the hypercube-native algorithms (section 11's iPSC/860
 variant)."""
 
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given, settings

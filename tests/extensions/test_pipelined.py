@@ -9,8 +9,7 @@ from repro.core import api
 from repro.core.context import CollContext
 from repro.extensions import (chain_order, edst_bcast, gray_code_group,
                               optimal_chunks, pipelined_bcast)
-from repro.sim import (Hypercube, LinearArray, Machine, Mesh2D, PARAGON,
-                       UNIT, MachineParams)
+from repro.sim import Hypercube, LinearArray, Machine, Mesh2D, PARAGON, UNIT
 
 
 def run_linear(p, prog, *args, params=UNIT, **kw):

@@ -7,10 +7,7 @@ for minutes, is exercised at reduced scale instead).
 
 import importlib.util
 import os
-import sys
 
-import numpy as np
-import pytest
 
 EXAMPLES = os.path.join(os.path.dirname(os.path.dirname(
     os.path.dirname(os.path.abspath(__file__)))), "examples")

@@ -2,15 +2,12 @@
 prediction capture readback, the conflict-freedom verifier, and
 alpha/beta drift detection."""
 
-import math
-
 import numpy as np
 import pytest
 
 from repro.core import api
-from repro.obs.audit import (BUILDING_BLOCKS, ChannelShare, ConflictVerdict,
-                             audit_run, contended_channels, drift_from_runs,
-                             fit_drift, run_block_primitive,
+from repro.obs.audit import (BUILDING_BLOCKS, audit_run, contended_channels,
+                             drift_from_runs, fit_drift, run_block_primitive,
                              verify_building_blocks)
 from repro.chaos.generator import ChaosCase
 from repro.sim import LinearArray, Machine, PARAGON, UNIT

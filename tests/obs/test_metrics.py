@@ -1,7 +1,5 @@
 """Channel-metrics collection: accounting exactness and neutrality."""
 
-import math
-
 import numpy as np
 import pytest
 

@@ -5,14 +5,14 @@ import time
 
 import pytest
 
-from repro.analysis import aggregate_trials, fit_alpha_beta
+from repro.analysis import aggregate_trials, fit_alpha_beta, pingpong_prog
 from repro.core.params import MachineParams, PARAGON
 from repro.runtime import ProcessMachine
 from repro.runtime import profile as profile_mod
 from repro.runtime.profile import (MachineProfile, calibrate_runtime,
                                    ensure_profile, load_profile,
-                                   load_profile_params, pingpong_prog,
-                                   profile_key, save_profile)
+                                   load_profile_params, profile_key,
+                                   save_profile)
 
 PARAMS = MachineParams(alpha=2e-4, beta=5e-9, gamma=1e-9,
                        sw_overhead=1e-6, link_capacity=1.0)
@@ -154,6 +154,20 @@ class TestCalibrationPass:
         assert set(prof.noise) == {"max_rel_spread", "median_rel_spread",
                                    "gamma_rel_spread",
                                    "overhead_rel_spread"}
+
+    @pytest.mark.parametrize("ranks", [0, 1, 3, 5])
+    def test_odd_concurrency_rejected_before_launch(self, store, ranks,
+                                                    monkeypatch):
+        """The pair probe pairs rank 2i with 2i+1: an odd (or empty)
+        contended world would leave a rank pinging outside the group,
+        so it is rejected before any rank process starts."""
+        def no_launch(*args, **kwargs):  # pragma: no cover
+            raise AssertionError("a rank process was started")
+
+        monkeypatch.setattr(ProcessMachine, "run", no_launch)
+        with pytest.raises(ValueError, match="concurrency_ranks"):
+            calibrate_runtime(concurrency_ranks=ranks, lengths=(0, 64),
+                              reps=1, trials=1, timeout=10)
 
     def test_ensure_profile_prefers_store(self, store, monkeypatch):
         save_profile(make_profile())

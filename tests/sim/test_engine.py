@@ -6,7 +6,6 @@ import pytest
 
 from repro.sim import (DeadlockError, LinearArray, Machine, UNIT,
                        payload_nbytes)
-from repro.core.params import MachineParams
 
 
 class TestPayloadNbytes:

@@ -8,7 +8,6 @@ advances to the next flow completion analytically — and checks that
 random concurrent transfer patterns finish at identical times in both.
 """
 
-import math
 import random
 
 import numpy as np
@@ -16,8 +15,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sim import (FullyConnected, Hypercube, LinearArray, Machine,
-                       Mesh2D, MachineParams, Ring, Torus2D, UNIT)
+from repro.sim import (FullyConnected, Hypercube, LinearArray, Machine, Mesh2D,
+                       Ring, Torus2D, UNIT)
 
 
 def global_maxmin(flows, capacity):

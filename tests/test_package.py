@@ -1,5 +1,6 @@
 """Package-level surface tests: the documented entry points exist."""
 
+import ast
 import os
 import re
 
@@ -70,3 +71,50 @@ def test_every_env_knob_is_in_the_readme_table():
         table = {m.group(1) for m in
                  re.finditer(r"^\| `(REPRO_[A-Z_]+)` \|", f.read(), re.M)}
     assert used == table
+
+
+def _unused_module_imports(path):
+    """``(line, name)`` of each module-level import that the module
+    never names.  ``__future__`` imports, names listed in ``__all__``
+    and statements carrying ``# noqa`` count as used."""
+    with open(path, encoding="utf-8") as f:
+        source = f.read()
+    lines = source.splitlines()
+    tree = ast.parse(source)
+    imported = {}
+    for node in tree.body:
+        if not isinstance(node, (ast.Import, ast.ImportFrom)):
+            continue
+        if getattr(node, "module", None) == "__future__" or any(
+                "# noqa" in line
+                for line in lines[node.lineno - 1:node.end_lineno]):
+            continue
+        for alias in node.names:
+            imported[(alias.asname or alias.name).split(".")[0]] = \
+                node.lineno
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__"
+                for t in node.targets):
+            used |= {c.value for c in ast.walk(node.value)
+                     if isinstance(c, ast.Constant)}
+    return sorted((line, name) for name, line in imported.items()
+                  if name not in used)
+
+
+def test_no_unused_module_imports():
+    """Every module-level import in the code, tests, benchmarks and
+    examples is used (package ``__init__`` re-exports are exempt).  No
+    linter runs in CI, so this stdlib-``ast`` scan stands in for one."""
+    unused = []
+    for top in ("src", "tests", "benchmarks", "examples"):
+        for root, dirs, files in os.walk(os.path.join(_REPO, top)):
+            dirs[:] = [d for d in dirs if d != "__pycache__"]
+            for name in files:
+                if not name.endswith(".py") or name == "__init__.py":
+                    continue
+                path = os.path.join(root, name)
+                unused += [f"{os.path.relpath(path, _REPO)}:{line}: {imp}"
+                           for line, imp in _unused_module_imports(path)]
+    assert not unused, "\n".join(sorted(unused))
