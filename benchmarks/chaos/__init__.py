@@ -1,5 +1,6 @@
-"""Seeded chaos harness for the fault-injection subsystem.
+"""Seeded chaos grid for the fault-injection subsystem.
 
-See :mod:`benchmarks.chaos.cases` for the grid and
-:mod:`benchmarks.chaos.run` for the CLI / report writer.
+See :mod:`benchmarks.chaos.cases` for the case list and
+:mod:`benchmarks.chaos.run` for the CLI / report writer; every case is
+classified by :func:`repro.chaos.executor.execute_case`.
 """

@@ -7,15 +7,20 @@ Usage (from the repo root)::
     PYTHONPATH=src python -m benchmarks.chaos.run --check        # + exit 1
                                                   # on any gate violation
 
+Every case runs through :func:`repro.chaos.executor.execute_case`
+(without the regret sweep), and each record is the executor's record.
 The gates (docs/robustness.md, enforced by the ``chaos-smoke`` CI job):
 
 * **zero silent corruption** — no run may complete with a payload that
-  differs from the clean-run / survivor oracle;
+  differs from the clean-run / survivor oracle, nor an empty schedule
+  move the clock;
 * **zero undiagnosed hangs** — every run that cannot complete must
   raise a typed :class:`FaultDiagnosis`, never a bare deadlock;
-* **profile contracts** — delay-only profiles (baseline/jitter/
-  slowdown) and crash-shrink must complete ``ok``; drop/crash profiles
-  may be ``ok`` or ``diagnosed``.
+* **profile contracts** — every verdict is one that
+  :data:`~repro.chaos.executor.PROFILE_CONTRACT` allows for its profile:
+  delay-only profiles (baseline/jitter/slowdown) and crash-shrink must
+  complete ``ok``; drop/crash profiles may be ``ok`` or
+  ``diagnosed-fault``.
 
 The committed ``CHAOS_report.json`` is the full-grid run (210 seeded
 cases); schedules derive from string-seeded RNGs, so a re-run
@@ -25,28 +30,29 @@ reproduces the same faults everywhere.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
 import time
 
-from .cases import ALLOWED, GRIDS, run_case, run_case_entry
+from repro.analysis.parallel import parallel_map
+from repro.chaos.executor import breaks_contract, execute_case
+
+from .cases import GRIDS, grid_case
 
 _HERE = os.path.dirname(os.path.abspath(__file__))
 _REPO = os.path.dirname(os.path.dirname(_HERE))
 DEFAULT_OUTPUT = os.path.join(_REPO, "CHAOS_report.json")
 
-FATAL_OUTCOMES = ("silent-corruption", "undiagnosed-hang")
-
 
 def evaluate(records) -> dict:
     """Aggregate gate verdicts over per-case records."""
     counts = {}
-    violations = []
     for rec in records:
-        counts[rec["outcome"]] = counts.get(rec["outcome"], 0) + 1
-        if rec["outcome"] not in ALLOWED[rec["profile"]]:
-            violations.append(rec["id"])
+        counts[rec["verdict"]] = counts.get(rec["verdict"], 0) + 1
+    violations = [rec["case"]["origin"] for rec in records
+                  if breaks_contract(rec)]
     gates = {
         "zero_silent_corruption":
             counts.get("silent-corruption", 0) == 0,
@@ -70,7 +76,7 @@ def main(argv=None) -> int:
     ap.add_argument("--check", action="store_true",
                     help="exit nonzero if any gate fails")
     ap.add_argument("--verbose", action="store_true",
-                    help="print one line per case as it runs")
+                    help="print one line per case")
     ap.add_argument("--workers", type=int, default=None,
                     help="shard the grid across this many processes "
                          "(schedules are string-seeded per case, and the "
@@ -78,23 +84,14 @@ def main(argv=None) -> int:
                          "identical to a serial run; default serial)")
     args = ap.parse_args(argv)
 
-    cases = GRIDS[args.grid]
     t0 = time.perf_counter()
-    if args.workers is not None and args.workers != 1:
-        from repro.analysis.parallel import parallel_map
-        records = parallel_map(run_case_entry, cases,
-                               workers=args.workers)
-        if args.verbose:
-            for rec in records:
-                print(f"  {rec['id']:50s} {rec['outcome']}", flush=True)
-    else:
-        records = []
-        for topo, op, profile, seed in cases:
-            rec = run_case(topo, op, profile, seed)
-            records.append(rec)
-            if args.verbose:
-                print(f"  {rec['id']:50s} {rec['outcome']}", flush=True)
+    records = parallel_map(functools.partial(execute_case, audit=False),
+                           [grid_case(*e) for e in GRIDS[args.grid]],
+                           workers=args.workers or 1)
     wall = time.perf_counter() - t0
+    if args.verbose:
+        for rec in records:
+            print(f"  {rec['case']['origin']:50s} {rec['verdict']}")
 
     summary = evaluate(records)
     report = {
@@ -110,8 +107,8 @@ def main(argv=None) -> int:
 
     print(f"chaos[{args.grid}]: {len(records)} cases in {wall:.1f}s "
           f"-> {args.output}")
-    for outcome, n in sorted(summary["counts"].items()):
-        print(f"  {outcome:20s} {n}")
+    for verdict, n in sorted(summary["counts"].items()):
+        print(f"  {verdict:20s} {n}")
     for gate, ok in summary["gates"].items():
         print(f"  gate {gate:28s} {'PASS' if ok else 'FAIL'}")
     if summary["violations"]:

@@ -31,12 +31,15 @@ function regretColor(r) {
   return `rgb(${mix[0]},${mix[1]},${mix[2]})`;
 }
 
-const OUTCOME_COLORS = {
-  ok: "#34a35f",
-  diagnosed: "#5b9dd9",
-  corrupt: "#c54545",
-  undiagnosed: "#c54545",
-  hang: "#c9a227",
+/* chaos verdicts (repro.chaos.executor.VERDICTS), for the fixed grid
+ * and the autopilot alike */
+const VERDICT_COLORS = {
+  "ok": "#34a35f",
+  "diagnosed-fault": "#5b9dd9",
+  "silent-corruption": "#c54545",
+  "undiagnosed-hang": "#c54545",
+  "sim-runtime-divergence": "#c9762c",
+  "regret-outlier": "#c9a227",
 };
 
 async function fetchJson(url) {
@@ -308,19 +311,21 @@ function renderService(container, bench) {
 function renderChaos(container, report) {
   const stat = el("p", "statline");
   const gates = report.gates || {};
+  const counts = report.counts || {};
   const gateHtml = Object.entries(gates).map(([k, v]) =>
     `${k} <span class="${v ? "gate-pass" : "gate-fail"}">` +
     `${v ? "PASS" : "FAIL"}</span>`).join(" &middot; ");
   stat.innerHTML = `${report.cases} cases, ` +
-    `${(report.counts || {}).ok || 0} clean, ` +
-    `${(report.counts || {}).diagnosed || 0} diagnosed, ` +
+    `${counts.ok || 0} clean, ` +
+    `${counts["diagnosed-fault"] || 0} diagnosed, ` +
     `${(report.violations || []).length} violations &middot; ${gateHtml}`;
   container.appendChild(stat);
 
   const byProfile = new Map();
   for (const rec of report.records || []) {
-    if (!byProfile.has(rec.profile)) byProfile.set(rec.profile, []);
-    byProfile.get(rec.profile).push(rec);
+    const profile = rec.case.profile;
+    if (!byProfile.has(profile)) byProfile.set(profile, []);
+    byProfile.get(profile).push(rec);
   }
   for (const [profile, recs] of byProfile) {
     container.appendChild(el("h3", "",
@@ -328,12 +333,9 @@ function renderChaos(container, report) {
     const grid = el("div", "verdicts");
     for (const rec of recs) {
       const cell = el("div", "cell");
-      cell.style.background =
-        OUTCOME_COLORS[rec.outcome] || "#c54545";
-      cell.title = `${rec.id}\noutcome: ${rec.outcome}\n` +
-        `schedule: ${rec.schedule}\nt=${fmt(rec.time)}s` +
-        (rec.t_clean !== undefined
-          ? ` (clean ${fmt(rec.t_clean)}s)` : "");
+      cell.style.background = VERDICT_COLORS[rec.verdict] || "#c54545";
+      cell.title = `${rec.case.origin || rec.id}\nverdict: ${rec.verdict}` +
+        `\nt=${fmt(rec.sim_time)}s`;
       grid.appendChild(cell);
     }
     container.appendChild(grid);
@@ -341,15 +343,6 @@ function renderChaos(container, report) {
 }
 
 /* ---------- chaos autopilot ---------- */
-
-const VERDICT_COLORS = {
-  "ok": "#34a35f",
-  "diagnosed-fault": "#5b9dd9",
-  "silent-corruption": "#c54545",
-  "undiagnosed-hang": "#c54545",
-  "sim-runtime-divergence": "#c9762c",
-  "regret-outlier": "#c9a227",
-};
 
 /* coverage count 0 -> dark, deeper counts -> brighter blue */
 function coverageColor(count, max) {

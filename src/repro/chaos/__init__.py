@@ -1,16 +1,18 @@
 """Coverage-guided chaos autopilot (docs/robustness.md, section 6).
 
-The fixed 210-case grid in ``benchmarks/chaos/`` (a case list over this
-package's programs, oracles and fault schedules) can only find failures
-someone enumerated.  This package is the generative half of the
-robustness story: a seeded **generator** samples random topologies,
-collectives, group shapes, payload dtypes/sizes and fault schedules —
-including the Byzantine-model adversaries of :mod:`repro.core.faults` —
-an **executor** classifies every case against analytic oracles (and a
-real-process slice), a persistent **corpus store** keeps every case
-keyed by hash with a coverage signature biasing generation toward
-unexplored cells, and an **auto-minimizer** delta-debugs failing cases
-down to minimal reproducers promoted into the golden corpus.
+The fixed 210-case grid in ``benchmarks/chaos/`` (a list of seeded
+:class:`ChaosCase` entries) can only find failures someone enumerated.
+This package is the generative half of the robustness story: a seeded
+**generator** samples random topologies, collectives, group shapes,
+payload dtypes/sizes and fault schedules — including the
+Byzantine-model adversaries of :mod:`repro.core.faults` —
+:func:`execute_case`, the one chaos classifier (the fixed grid, the
+autopilot and the minimizer all run it), judges every case against
+analytic oracles and its profile's contract (and a real-process
+slice), a persistent **corpus store** keeps every case keyed by hash
+with a coverage signature biasing generation toward unexplored cells,
+and an **auto-minimizer** delta-debugs failing cases down to minimal
+reproducers promoted into the golden corpus.
 
 Entry point::
 

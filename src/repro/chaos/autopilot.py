@@ -19,7 +19,9 @@ byte-identical corpus store.  Wall-clock appears only in the summary
 report, outside the store.
 
 The ``--check`` gate mirrors CI: zero ``silent-corruption`` and zero
-``undiagnosed-hang`` verdicts, or exit 1.
+``undiagnosed-hang`` verdicts, and every verdict one that its
+profile's contract (:data:`~repro.chaos.executor.PROFILE_CONTRACT`)
+allows, or exit 1.
 """
 
 from __future__ import annotations
@@ -31,7 +33,8 @@ import time
 from typing import Dict, Optional, Sequence
 
 from .corpus import CorpusStore, default_store_path
-from .executor import FATAL_VERDICTS, FINDING_VERDICTS, execute_case
+from .executor import (FATAL_VERDICTS, FINDING_VERDICTS, breaks_contract,
+                       execute_case)
 from .generator import (CaseGenerator, OPS, PROFILES, TOPO_CLASSES)
 from .minimize import minimize_case
 
@@ -72,6 +75,7 @@ def run_autopilot(seed: int, budget_s: float = 60.0,
     duplicates = 0
     verdicts: Dict[str, int] = {}
     new_findings = []
+    violations = 0
     while executed < total and attempts < total * 4:
         attempts += 1
         case = gen.sample(explored=store.explored_cells())
@@ -84,6 +88,7 @@ def run_autopilot(seed: int, budget_s: float = 60.0,
         record = execute_case(case, runtime_slice=use_runtime)
         verdict = record["verdict"]
         verdicts[verdict] = verdicts.get(verdict, 0) + 1
+        violations += breaks_contract(record)
         if verdict in FINDING_VERDICTS:
             say(f"  [{executed}/{total}] {verdict}: "
                 f"{case.topo} {case.op} {case.profile} "
@@ -123,6 +128,7 @@ def run_autopilot(seed: int, budget_s: float = 60.0,
             verdicts.get("silent-corruption", 0) == 0,
         "zero_undiagnosed_hang":
             verdicts.get("undiagnosed-hang", 0) == 0,
+        "profile_contracts_hold": violations == 0,
     }
     report = {
         "kind": "repro-chaos-autopilot",
@@ -194,7 +200,8 @@ def main(argv=None) -> int:
                         help="skip auto-minimization of findings")
     parser.add_argument("--check", action="store_true",
                         help="exit 1 when a fatal verdict "
-                             f"({', '.join(FATAL_VERDICTS)}) occurred")
+                             f"({', '.join(FATAL_VERDICTS)}) or one "
+                             "its profile's contract forbids occurred")
     parser.add_argument("--quiet", action="store_true")
     args = parser.parse_args(argv)
 

@@ -1,4 +1,4 @@
-"""Case execution and verdict classification for the chaos autopilot.
+"""Case execution and verdict classification for every chaos run.
 
 :func:`execute_case` runs one :class:`~repro.chaos.generator.ChaosCase`
 on the simulator, checks the outcome against the analytic oracles of
@@ -7,6 +7,8 @@ on the simulator, checks the outcome against the analytic oracles of
 
 ``ok``
     the run completed and every surviving member's payload matches;
+    under an empty schedule it also finished at the fault-free run's
+    bit-identical instant (the passivity probe);
 ``diagnosed-fault``
     the fault layer produced a *typed* diagnosis — either the engine
     raised :class:`~repro.core.faults.FaultDiagnosis`, or payloads
@@ -15,8 +17,9 @@ on the simulator, checks the outcome against the analytic oracles of
     tamper is a diagnosis, never a silent failure);
 ``silent-corruption``
     payloads mismatch and nothing in the fault report explains it — the
-    library returned wrong answers without telling anyone.  Always a
-    bug;
+    library returned wrong answers without telling anyone — or an empty
+    schedule moved the clock (the record carries ``time_drift``).
+    Always a bug;
 ``undiagnosed-hang``
     the run died with an untyped error (bare deadlock, engine event
     limit, rank crash) under a schedule that injected faults — the
@@ -33,21 +36,33 @@ on the simulator, checks the outcome against the analytic oracles of
     (:func:`repro.analysis.audit.audit_case`).  A pinned candidate that
     returns a wrong payload there is ``silent-corruption``.
 
+A ``crash-shrink`` case carries a ``crash`` schedule.  Its program
+outwaits the crash, shrinks the world (``Communicator.shrink``) and
+runs the collective on the survivors, which are checked against the
+survivor oracle.
+
+:data:`PROFILE_CONTRACT` says which verdicts each profile may end in;
+the fixed chaos grid (``benchmarks/chaos/``) and the autopilot both
+gate on it.  This module is the only chaos classifier: the grid, the
+autopilot and the minimizer all run :func:`execute_case`.
+
 Records carry no wall-clock state (sim times only), so a seeded run
 produces byte-identical records on every machine.
 """
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Dict, Optional
 
 import numpy as np
 
+from repro.core.communicator import Communicator
 from repro.core.faults import FaultDiagnosis
 from repro.sim import DeadlockError, Machine, SimulationLimitError, preset
 
 from .generator import ChaosCase
-from .oracles import make_program, mismatched_ranks
+from .oracles import clean_run, make_program, mismatched_ranks
 
 VERDICTS = ("ok", "diagnosed-fault", "silent-corruption",
             "undiagnosed-hang", "sim-runtime-divergence", "regret-outlier")
@@ -60,6 +75,30 @@ FINDING_VERDICTS = ("silent-corruption", "undiagnosed-hang",
 #: verdicts that fail the CI gate outright: the library lied (wrong
 #: answer with no diagnosis) or hung without attribution
 FATAL_VERDICTS = ("silent-corruption", "undiagnosed-hang")
+
+_DELAY_ONLY = ("ok",)
+_MAY_DIAGNOSE = ("ok", "diagnosed-fault")
+
+#: profile -> the verdicts a case of that profile may end in.  An empty
+#: or delay-only schedule, and a crash the program outwaits and shrinks
+#: away, must complete; drops, crashes and adversaries may also end in
+#: a typed diagnosis.  The non-fatal findings (divergence, regret) are
+#: reported as findings, not judged here.
+PROFILE_CONTRACT = {
+    "none": _DELAY_ONLY, "jitter": _DELAY_ONLY, "slowdown": _DELAY_ONLY,
+    "crash-shrink": _DELAY_ONLY,
+    "link-permanent": _MAY_DIAGNOSE, "link-transient": _MAY_DIAGNOSE,
+    "crash": _MAY_DIAGNOSE, "byzantine": _MAY_DIAGNOSE,
+    "withholding": _MAY_DIAGNOSE, "misrouting": _MAY_DIAGNOSE,
+}
+
+
+def breaks_contract(record: Dict) -> bool:
+    """True when the record's verdict is one its profile may not end in."""
+    verdict = record["verdict"]
+    if verdict in FINDING_VERDICTS and verdict not in FATAL_VERDICTS:
+        return False  # reported as a finding instead
+    return verdict not in PROFILE_CONTRACT[record["case"]["profile"]]
 
 
 def _check_regret(case: ChaosCase, record: Dict, sim_time: float,
@@ -97,11 +136,9 @@ def _check_runtime(case: ChaosCase, record: Dict, sim_results,
     """Differential slice: replay on real processes, compare payloads."""
     from repro.runtime import ProcessMachine
 
-    schedule = case.schedule()
     machine = ProcessMachine(case.nranks, params=preset(case.params),
                              topology=case.topology(), timeout=timeout,
-                             faults=schedule if not schedule.is_empty
-                             else None)
+                             faults=case.schedule())
     try:
         run = machine.run(make_program(case))
     except Exception as exc:  # noqa: BLE001 — any runtime failure diverges
@@ -119,6 +156,15 @@ def _check_runtime(case: ChaosCase, record: Dict, sim_results,
     if divergent:
         return "sim-runtime-divergence"
     return None
+
+
+def _after_shrink(case: ChaosCase, crash_t: float):
+    """Outwait the crash, shrink the world, run the case on survivors."""
+    def prog(env):
+        yield env.delay(2.0 * crash_t)
+        survivors = Communicator.world(env).shrink().group
+        return (yield from make_program(replace(case, group=survivors))(env))
+    return prog
 
 
 #: world sizes eligible for the real-process differential slice (each
@@ -145,10 +191,15 @@ def execute_case(case: ChaosCase, *, runtime_slice: bool = False,
     record: Dict = {"id": case.case_hash, "case": case.to_dict(),
                     "verdict": None, "sim_time": None}
     schedule = case.schedule()
+    prog = make_program(case)
+    if case.profile == "crash-shrink":
+        prog = _after_shrink(case, schedule.events[0].t)
+        crashed = schedule.crashed_nodes()
+        case = replace(case, group=tuple(r for r in range(case.nranks)
+                                         if r not in crashed))
     machine = Machine(case.topology(), preset(case.params))
     try:
-        run = machine.run(make_program(case),
-                          faults=None if schedule.is_empty else schedule)
+        run = machine.run(prog, faults=schedule)
     except FaultDiagnosis as exc:
         record["verdict"] = "diagnosed-fault"
         record["diagnosis"] = exc.to_dict()
@@ -186,6 +237,13 @@ def execute_case(case: ChaosCase, *, runtime_slice: bool = False,
         else:
             record["verdict"] = "silent-corruption"
         return record
+    if schedule.is_empty:
+        # passivity also pins the clock, not just the payloads
+        t_clean, _ = clean_run(case)
+        if repr(run.time) != repr(t_clean):
+            record["verdict"] = "silent-corruption"
+            record["time_drift"] = [repr(t_clean), repr(run.time)]
+            return record
 
     verdict = "ok"
     if audit and case.profile == "none" and case.group is None:
@@ -196,15 +254,6 @@ def execute_case(case: ChaosCase, *, runtime_slice: bool = False,
     return record
 
 
-def replay(record_or_case, **kwargs) -> Dict:
-    """Re-execute a stored record's case (or a bare case) afresh."""
-    if isinstance(record_or_case, ChaosCase):
-        case = record_or_case
-    else:
-        case = ChaosCase.from_dict(record_or_case["case"])
-    return execute_case(case, **kwargs)
-
-
 __all__ = ["VERDICTS", "FINDING_VERDICTS", "FATAL_VERDICTS",
-           "execute_case", "replay", "RUNTIME_SLICE_MAX_P",
-           "RUNTIME_SLICE_PROFILES"]
+           "PROFILE_CONTRACT", "breaks_contract", "execute_case",
+           "RUNTIME_SLICE_MAX_P", "RUNTIME_SLICE_PROFILES"]

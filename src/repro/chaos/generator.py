@@ -17,10 +17,11 @@ the bias is itself deterministic).
 
 Fault schedules come from :func:`fault_schedule`, the one
 profile -> schedule mapping that the fixed chaos grid
-(``benchmarks/chaos/``) and the service storms (:mod:`repro.service.chaos`)
-also use.  Event times are scaled to the case's *clean* simulated
-duration (the simulator is deterministic, so ``t_clean`` is a pure
-function of the case config).
+(``benchmarks/chaos/``, whose cases the same classifier,
+:func:`repro.chaos.executor.execute_case`, judges) and the service
+storms (:mod:`repro.service.chaos`) also use.  Event times are scaled
+to the case's *clean* simulated duration (the simulator is
+deterministic, so ``t_clean`` is a pure function of the case config).
 """
 
 from __future__ import annotations
@@ -293,8 +294,9 @@ def fault_schedule(profile: str, rng: random.Random, topology,
     fixed chaos grid and the service storms: event times are fractions
     of the fault-free duration ``t_clean`` (simulated seconds), link
     faults hit one physical directed channel of ``topology``, crashes
-    one of its nodes, and adversaries one of ``members`` (default every
-    node).  Every draw comes from ``rng``, in a fixed order, so a
+    (``crash``, and ``crash-shrink``, whose program shrinks the crash
+    away) one of its nodes, and adversaries one of ``members`` (default
+    every node).  Every draw comes from ``rng``, in a fixed order, so a
     string-seeded ``rng`` replays the same faults on every machine.
     """
     if profile == "none":
@@ -326,7 +328,7 @@ def fault_schedule(profile: str, rng: random.Random, topology,
             events=(LinkFault(t=rng.uniform(0.0, 0.8) * t_clean, u=u, v=v,
                               duration=rng.uniform(0.5, 1.5) * t_clean),),
             max_retries=14, deadline=deadline)
-    if profile == "crash":
+    if profile in ("crash", "crash-shrink"):
         return FaultSchedule(
             events=(NodeCrash(t=rng.uniform(0.0, 0.9) * t_clean,
                               node=rng.randrange(topology.nnodes)),),

@@ -1,8 +1,9 @@
 """Programs and validation oracles for collective cases.
 
 The one source of "the rank program for op X and its expected result"
-in the repo: the autopilot, the fixed chaos grid
-(``benchmarks/chaos/``), both model audits (:mod:`repro.analysis.audit`
+in the repo: :func:`repro.chaos.executor.execute_case` (the one chaos
+classifier, which the autopilot, the minimizer and the fixed chaos grid
+``benchmarks/chaos/`` run), both model audits (:mod:`repro.analysis.audit`
 checks every measured candidate against :func:`expected_results`), the
 building-block conflict verifier and drift fit
 (:mod:`repro.obs.audit`), the runtime microbench

@@ -138,8 +138,12 @@ class TestAuditSweepDeterminism:
 
 class TestChaosSweepDeterminism:
     def test_parallel_chaos_slice_equals_serial(self):
-        from benchmarks.chaos.cases import GRIDS, run_case_entry
-        cases = GRIDS["smoke"][:6]
-        serial = [run_case_entry(c) for c in cases]
-        parallel = parallel_map(run_case_entry, cases, workers=3)
+        import functools
+
+        from benchmarks.chaos.cases import GRIDS, grid_case
+        from repro.chaos import execute_case
+        run = functools.partial(execute_case, audit=False)
+        cases = [grid_case(*e) for e in GRIDS["smoke"][:6]]
+        serial = [run(c) for c in cases]
+        parallel = parallel_map(run, cases, workers=3)
         assert parallel == serial

@@ -30,10 +30,13 @@ def artifact_root(tmp_path):
         "max_median_regret": 1.05,
     }))
     (tmp_path / "CHAOS_report.json").write_text(json.dumps({
-        "cases": 1, "counts": {"ok": 1, "diagnosed": 0},
+        "cases": 1, "counts": {"ok": 1},
         "violations": [], "gates": {"zero_silent_corruption": True},
-        "records": [{"id": "mesh/bcast/baseline/1", "profile": "baseline",
-                     "schedule": "empty", "outcome": "ok", "time": 0.1}],
+        "records": [{"id": "e954c83dd231bd89", "verdict": "ok",
+                     "sim_time": 0.1,
+                     "case": {"topo": ["mesh", 4, 6], "op": "bcast",
+                              "profile": "none", "faults": {},
+                              "origin": "mesh4x6/bcast/baseline/101"}}],
         "passed": True,
     }))
     (tmp_path / "CHAOS_autopilot.json").write_text(json.dumps({

@@ -46,7 +46,8 @@ class TestSession:
             report_path=str(tmp_path / "r.json"), quiet=True)
         assert report["passed"] is True
         assert report["gates"] == {"zero_silent_corruption": True,
-                                   "zero_undiagnosed_hang": True}
+                                   "zero_undiagnosed_hang": True,
+                                   "profile_contracts_hold": True}
         on_disk = json.load(open(tmp_path / "r.json"))
         assert on_disk["kind"] == "repro-chaos-autopilot"
         assert on_disk["verdicts"] == report["verdicts"]

@@ -170,3 +170,57 @@ class TestSilentCorruptionDetection:
         for rank in range(case.nranks):
             assert payload_matches("bcast", "float64",
                                    run.results[rank], oracle[rank])
+
+
+class TestPassivity:
+    def test_clock_drift_under_empty_schedule_is_silent_corruption(
+            self, monkeypatch):
+        from repro.chaos import executor
+        case = _case()
+        t_clean, results = clean_run(case)
+        monkeypatch.setattr(executor, "clean_run",
+                            lambda c: (t_clean * 2.0, results))
+        rec = execute_case(case, audit=False)
+        assert rec["verdict"] == "silent-corruption"
+        assert rec["time_drift"] == [repr(t_clean * 2.0), repr(t_clean)]
+        assert "corrupt_ranks" not in rec
+
+
+class TestCrashShrink:
+    def test_survivors_complete_against_survivor_oracle(self):
+        from repro.core.faults import FaultSchedule, NodeCrash
+        t_clean, _ = clean_run(_case(topo=("linear", 6)))
+        faults = FaultSchedule(events=(NodeCrash(t=0.1 * t_clean,
+                                                 node=2),)).to_dict()
+        rec = execute_case(_case(topo=("linear", 6), profile="crash-shrink",
+                                 faults=faults), audit=False)
+        assert rec["verdict"] == "ok"
+        assert rec["sim_time"] > 0.2 * t_clean  # outwaited the crash
+        assert "corrupt_ranks" not in rec
+
+
+class TestProfileContract:
+    @staticmethod
+    def _rec(profile, verdict):
+        return {"verdict": verdict, "case": {"profile": profile}}
+
+    def test_every_executor_profile_has_a_contract(self):
+        from repro.chaos.executor import PROFILE_CONTRACT
+        from repro.chaos.generator import PROFILES
+        assert set(PROFILE_CONTRACT) == set(PROFILES) | {"crash-shrink"}
+
+    def test_delay_only_profile_may_not_diagnose(self):
+        from repro.chaos.executor import breaks_contract
+        for profile in ("none", "jitter", "slowdown", "crash-shrink"):
+            assert not breaks_contract(self._rec(profile, "ok"))
+            assert breaks_contract(self._rec(profile, "diagnosed-fault"))
+        for profile in ("link-permanent", "crash", "byzantine"):
+            assert not breaks_contract(self._rec(profile,
+                                                 "diagnosed-fault"))
+
+    def test_fatal_verdicts_break_and_findings_do_not(self):
+        from repro.chaos.executor import breaks_contract
+        for verdict in FATAL_VERDICTS:
+            assert breaks_contract(self._rec("crash", verdict))
+        for verdict in ("sim-runtime-divergence", "regret-outlier"):
+            assert not breaks_contract(self._rec("none", verdict))

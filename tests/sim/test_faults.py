@@ -595,33 +595,45 @@ class TestDiagnosis:
 # ----------------------------------------------------------------------
 
 class TestChaosHarness:
-    """Spot checks of the seeded chaos harness (benchmarks/chaos)."""
+    """Spot checks of the seeded chaos grid (benchmarks/chaos), which
+    runs its cases through ``execute_case``."""
 
     def test_case_is_reproducible(self):
-        from benchmarks.chaos.cases import run_case
-        a = run_case("mesh4x6", "allreduce", "crash", 101)
-        b = run_case("mesh4x6", "allreduce", "crash", 101)
+        from benchmarks.chaos.cases import grid_case
+        from repro.chaos import execute_case
+        a = execute_case(grid_case("mesh4x6", "allreduce", "crash", 101),
+                         audit=False)
+        b = execute_case(grid_case("mesh4x6", "allreduce", "crash", 101),
+                         audit=False)
         assert a == b
 
     def test_baseline_case_is_passive(self):
-        from benchmarks.chaos.cases import run_case
-        rec = run_case("linear12", "bcast", "baseline", 101)
-        assert rec["outcome"] == "ok"
-        assert rec["time"] == rec["t_clean"]
+        from benchmarks.chaos.cases import grid_case
+        from repro.chaos import clean_run, execute_case
+        case = grid_case("linear12", "bcast", "baseline", 101)
+        rec = execute_case(case, audit=False)
+        assert rec["verdict"] == "ok"
+        assert rec["sim_time"] == clean_run(case)[0]
 
     def test_crash_shrink_case_completes(self):
-        from benchmarks.chaos.cases import run_case
-        rec = run_case("linear12", "reduce_scatter", "crash-shrink", 202)
-        assert rec["outcome"] == "ok"
+        from benchmarks.chaos.cases import grid_case
+        from repro.chaos import execute_case
+        rec = execute_case(
+            grid_case("linear12", "reduce_scatter", "crash-shrink", 202),
+            audit=False)
+        assert rec["verdict"] == "ok"
 
     def test_evaluate_flags_violations(self):
         from benchmarks.chaos.run import evaluate
+
+        def rec(origin, profile, verdict):
+            return {"id": origin, "verdict": verdict,
+                    "case": {"profile": profile, "origin": origin}}
         records = [
-            {"id": "a", "profile": "jitter", "outcome": "ok"},
-            {"id": "b", "profile": "jitter", "outcome": "diagnosed"},
-            {"id": "c", "profile": "crash", "outcome": "diagnosed"},
-            {"id": "d", "profile": "crash",
-             "outcome": "silent-corruption"},
+            rec("a", "jitter", "ok"),
+            rec("b", "jitter", "diagnosed-fault"),
+            rec("c", "crash", "diagnosed-fault"),
+            rec("d", "crash", "silent-corruption"),
         ]
         summary = evaluate(records)
         assert not summary["passed"]
