@@ -27,12 +27,10 @@ from .corpus import CorpusStore
 from .executor import (FATAL_VERDICTS, FINDING_VERDICTS, VERDICTS,
                        execute_case)
 from .generator import CaseGenerator, ChaosCase, build_topology
-from .minimize import minimize_case, plant_case
 from .oracles import case_vec, clean_run, expected_results, make_program
 
 __all__ = [
     "CaseGenerator", "ChaosCase", "CorpusStore", "FATAL_VERDICTS",
     "FINDING_VERDICTS", "VERDICTS", "build_topology", "case_vec",
     "clean_run", "execute_case", "expected_results", "make_program",
-    "minimize_case", "plant_case",
 ]

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
 from .params import MachineParams
-from .strategy import Strategy
+from .strategy import STAGE_TABLE, Strategy
 
 
 def ceil_log2(d: int) -> int:
@@ -149,8 +149,9 @@ class CostModel:
         for p = 30.
 
         Walks :meth:`Strategy.stages` and prices each stage with the
-        primitives :data:`_STAGE_COSTS` assigns to its letter, at the
-        length of the piece that stage moves.  With ``k = 1`` this is
+        methods named by its :data:`~repro.core.strategy.STAGE_TABLE`
+        row (the primitives the executor runs), at the length of the
+        piece that stage moves.  With ``k = 1`` this is
         section 5's short- and long-vector compositions.  ``conflicts``
         (default :meth:`default_conflicts`) gives one beta factor per
         dimension.
@@ -166,14 +167,14 @@ class CostModel:
         for letter, i in stages:
             d = dims[i]
             c = conflicts[i]
-            prims, resize = _STAGE_COSTS[operation, letter]
-            if resize == _MERGE:
+            _, _, prims, _, resize = STAGE_TABLE[operation, letter]
+            if resize == "merge":
                 m *= d
-            if len(prims) == 1:
-                t += prims[0](self, d, m, c)
-            else:   # a two-primitive kernel is one stage: sum it first
-                t += (prims[0](self, d, m, c) + prims[1](self, d, m, c))
-            if resize == _SPLIT:
+            stage = 0.0     # a two-primitive kernel is summed first
+            for name in prims:
+                stage += getattr(self, name)(d, m, c)
+            t += stage
+            if resize == "split":
                 m /= d
         return t
 
@@ -200,29 +201,3 @@ class CostModel:
             out[term] = CostModel(params, self.itemsize).hybrid(
                 operation, strategy, n, conflicts=conflicts)
         return out
-
-
-#: how a stage changes the piece length ``m`` it is priced at: a
-#: splitting stage prices the piece it receives, then divides it; a
-#: merging stage multiplies it first and prices the merged piece
-_SPLIT, _MERGE = -1, 1
-
-#: (operation, stage letter) -> (primitives the stage runs, in order;
-#: how it resizes the piece) — Figure 3's template per family
-_STAGE_COSTS = {
-    ("bcast", "S"): ((CostModel.mst_scatter,), _SPLIT),
-    ("bcast", "M"): ((CostModel.mst_bcast,), 0),
-    ("bcast", "C"): ((CostModel.bucket_collect,), _MERGE),
-    ("reduce", "S"): ((CostModel.bucket_reduce_scatter,), _SPLIT),
-    ("reduce", "M"): ((CostModel.mst_reduce,), 0),
-    ("reduce", "C"): ((CostModel.mst_gather,), _MERGE),
-    ("allreduce", "S"): ((CostModel.bucket_reduce_scatter,), _SPLIT),
-    ("allreduce", "M"): ((CostModel.mst_reduce, CostModel.mst_bcast), 0),
-    ("allreduce", "C"): ((CostModel.bucket_collect,), _MERGE),
-    ("collect", "M"): ((CostModel.mst_gather, CostModel.mst_bcast),
-                       _MERGE),
-    ("collect", "C"): ((CostModel.bucket_collect,), _MERGE),
-    ("reduce_scatter", "S"): ((CostModel.bucket_reduce_scatter,), _SPLIT),
-    ("reduce_scatter", "M"): ((CostModel.mst_reduce, CostModel.mst_scatter),
-                              _SPLIT),
-}

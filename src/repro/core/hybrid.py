@@ -22,8 +22,9 @@ plain array slices — no index shuffling, exactly like the original
 library's Fortran-style buffers.
 
 One executor, :func:`run`, walks :meth:`Strategy.stages` for all five
-operations; :data:`_STAGES` says what each ``(operation, letter)`` stage
-runs.  It is an SPMD generator to be driven by the simulator (or
+operations; :data:`repro.core.strategy.STAGE_TABLE` says what each
+``(operation, letter)`` stage runs, the same row the cost model prices.
+It is an SPMD generator to be driven by the simulator (or
 ``yield from``-ed inside larger programs).
 """
 
@@ -37,41 +38,13 @@ import numpy as np
 from .context import CollContext
 from .ops import get_op
 from .partition import partition_offsets, partition_sizes
-# the primitives :data:`_STAGES` names, looked up in this module
+# the primitives STAGE_TABLE names, looked up in this module when a
+# stage runs (so a test can substitute a faulty primitive for one)
 from .primitives_long import (bucket_collect,  # noqa: F401
                               bucket_reduce_scatter)
 from .primitives_short import (mst_bcast, mst_gather,  # noqa: F401
                                mst_reduce, mst_scatter)
-from .strategy import Strategy
-
-#: (operation, letter) -> (label, phase, primitives, rooted): how a
-#: stage of :meth:`Strategy.stages` runs.  ``primitives`` run in order on
-#: the stage's line (a two-primitive kernel is one stage); they are
-#: names in this module, looked up when the stage runs (so a test can
-#: substitute a faulty primitive for one).  A ``rooted``
-#: stage runs only on the lines through the root's data.  The cost
-#: model prices the same rows (:data:`repro.core.costmodel._STAGE_COSTS`).
-_STAGES = {
-    ("bcast", "S"): ("scatter", "scatter", ("mst_scatter",), True),
-    ("bcast", "M"): ("MST bcast", "kernel", ("mst_bcast",), False),
-    ("bcast", "C"): ("collect", "collect", ("bucket_collect",), False),
-    ("reduce", "S"): ("reduce-scatter", "reduce-scatter",
-                      ("bucket_reduce_scatter",), False),
-    ("reduce", "M"): ("MST reduce", "kernel", ("mst_reduce",), False),
-    ("reduce", "C"): ("gather", "gather", ("mst_gather",), True),
-    ("allreduce", "S"): ("reduce-scatter", "reduce-scatter",
-                         ("bucket_reduce_scatter",), False),
-    ("allreduce", "M"): ("allreduce kernel", "kernel",
-                         ("mst_reduce", "mst_bcast"), False),
-    ("allreduce", "C"): ("collect", "collect", ("bucket_collect",), False),
-    ("collect", "M"): ("collect", "kernel", ("mst_gather", "mst_bcast"),
-                       False),
-    ("collect", "C"): ("collect", "collect", ("bucket_collect",), False),
-    ("reduce_scatter", "S"): ("reduce-scatter", "reduce-scatter",
-                              ("bucket_reduce_scatter",), False),
-    ("reduce_scatter", "M"): ("reduce-scatter", "kernel",
-                              ("mst_reduce", "mst_scatter"), False),
-}
+from .strategy import STAGE_TABLE, Strategy
 
 #: the stage arguments each primitive takes (besides line and data)
 _ARGS = {
@@ -164,6 +137,13 @@ def run(ctx: CollContext, operation: str, data: Optional[np.ndarray],
                 f"sizes has {len(sizes)} entries for group of {p}")
         offs = partition_offsets(sizes)
         n = offs[-1]
+        # checked here, before any stage: a line's primitive would name
+        # the rank within its line, and some only at the line's root
+        what, want = (("block", sizes[me]) if operation == "collect"
+                      else ("vector", n))
+        if len(data) != want:
+            raise ValueError(f"rank {me}: {what} has {len(data)} "
+                             f"elements, partition says {want}")
     else:
         if total is None:
             if operation == "bcast" and me != root:
@@ -177,7 +157,7 @@ def run(ctx: CollContext, operation: str, data: Optional[np.ndarray],
 
     cur = None if operation == "bcast" and me != root else data
     for letter, i in strategy.stages(operation):
-        label, phase, prims, rooted = _STAGES[operation, letter]
+        label, phase, prims, rooted, _ = STAGE_TABLE[operation, letter]
         if rooted and digs[i + 1:] != rdigs[i + 1:]:
             continue
         d = dims[i]

@@ -9,7 +9,8 @@ candidate strategies, prices each with the
 Two conflict regimes are supported:
 
 * **linear array** — dimension ``i`` interleaves ``stride_i`` logical
-  lines on the same channels (the Table 2 model);
+  lines on the same channels (the Table 2 model,
+  :meth:`CostModel.default_conflicts`);
 * **mesh-aligned submesh** — the group is an ``R x C`` physical submesh
   enumerated row-major, and the candidate dims factor ``C`` first and
   ``R`` second, so each dimension's lines live inside a physical row or
@@ -61,17 +62,6 @@ def length_bucket(n: int) -> int:
     if n <= 1:
         return 1
     return 1 << (n.bit_length() - 1)
-
-
-def linear_interleaves(dims: Sequence[int]) -> List[float]:
-    """Interleave counts for a linear-array group: dimension ``i``
-    shares its channels with ``stride_i`` lines."""
-    out = []
-    w = 1
-    for d in dims:
-        out.append(float(w))
-        w *= d
-    return out
 
 
 def mesh_interleaves(dims: Sequence[int], subrows: int, subcols: int
@@ -176,9 +166,7 @@ class Selector:
         choices: List[Choice] = []
         seen = set()
 
-        def add(strategy: Strategy, interleaves: Sequence[float]) -> None:
-            conflicts = tuple(self.model.conflict_factor(s)
-                              for s in interleaves)
+        def add(strategy: Strategy, conflicts: Tuple[float, ...]) -> None:
             key = (strategy.dims, strategy.ops, conflicts)
             if key in seen:
                 return
@@ -191,7 +179,7 @@ class Selector:
             choices.append(Choice(strategy, cost, conflicts))
 
         for s in candidates(operation, p, self.max_factors):
-            add(s, linear_interleaves(s.dims))
+            add(s, tuple(self.model.default_conflicts(s)))
 
         if mesh_shape is not None:
             R, C = mesh_shape
@@ -201,7 +189,7 @@ class Selector:
             for s in self._mesh_candidates(operation, R, C):
                 inter = mesh_interleaves(s.dims, R, C)
                 if inter is not None:
-                    add(s, inter)
+                    add(s, tuple(map(self.model.conflict_factor, inter)))
 
         choices.sort(key=_rank_key)
         return choices

@@ -12,8 +12,10 @@ consecutive logical ranks; dimension ``i`` lines have stride
 intermediate data contiguous and is validated against Table 2.)
 
 One grammar covers all the hybrid families used in this library, and
-this module states it once (:func:`family_ops`, :meth:`Strategy.stages`)
-for the executor, the cost model, the Selector, ``api`` and ``Plan``:
+this module states it once for the executor, the cost model, the
+Selector, ``api`` and ``Plan``: :data:`STAGE_TABLE` says what each
+stage letter of an operation runs, :func:`family_ops` which ops strings
+are legal and :meth:`Strategy.stages` the order the stages run in:
 
 * ``S^a M C^a`` with ``k = a+1`` dims, or ``S^k C^k`` with ``k`` dims —
   the broadcast / combine-to-one / combine-to-all family.  The letters
@@ -99,8 +101,8 @@ class Strategy:
 
         This is the one statement of each family's stage order:
         :func:`repro.core.hybrid.run` executes it and
-        :meth:`~repro.core.costmodel.CostModel.hybrid` prices it, each
-        through an ``(operation, letter)`` table with the same rows.
+        :meth:`~repro.core.costmodel.CostModel.hybrid` prices it, both
+        reading what each stage runs from :data:`STAGE_TABLE`.
         """
         return _stages(self, operation)
 
@@ -122,29 +124,60 @@ class Strategy:
                          "expected 'd1xd2x...:OPS'")
 
 
-#: operation -> (letter of the stages before the kernel, letter of the
-#: stages after it); an empty letter means the family has no such half
-_FAMILY = {
-    "bcast": ("S", "C"),
-    "reduce": ("S", "C"),
-    "allreduce": ("S", "C"),
-    "collect": ("", "C"),
-    "reduce_scatter": ("S", ""),
+#: (operation, letter) -> (label, phase, primitives, rooted, resize):
+#: Figure 3's template, one row per stage kind, read by both the
+#: executor (``hybrid.run``) and the pricer (``CostModel.hybrid``).
+#: ``label`` and ``phase`` name the stage's trace span.  ``primitives``
+#: run in order on the stage's line (a two-primitive kernel is one
+#: stage); each name is both a function in :mod:`repro.core.hybrid` and
+#: a ``CostModel`` method.  A ``rooted`` stage runs only on the lines
+#: through the root's data.  ``resize`` is what the stage does to the
+#: piece it moves over a dimension of size ``d``: ``"split"`` hands on
+#: 1/d of it after, ``"merge"`` joins d pieces before, ``"keep"``
+#: leaves it whole.  The rows' operations, in order, are
+#: :data:`OPERATIONS`, and an operation's letters fix its family
+#: (:func:`family_ops`).
+STAGE_TABLE = {
+    ("bcast", "S"): ("scatter", "scatter", ("mst_scatter",), True,
+                     "split"),
+    ("bcast", "M"): ("MST bcast", "kernel", ("mst_bcast",), False, "keep"),
+    ("bcast", "C"): ("collect", "collect", ("bucket_collect",), False,
+                     "merge"),
+    ("reduce", "S"): ("reduce-scatter", "reduce-scatter",
+                      ("bucket_reduce_scatter",), False, "split"),
+    ("reduce", "M"): ("MST reduce", "kernel", ("mst_reduce",), False,
+                      "keep"),
+    ("reduce", "C"): ("gather", "gather", ("mst_gather",), True, "merge"),
+    ("allreduce", "S"): ("reduce-scatter", "reduce-scatter",
+                         ("bucket_reduce_scatter",), False, "split"),
+    ("allreduce", "M"): ("allreduce kernel", "kernel",
+                         ("mst_reduce", "mst_bcast"), False, "keep"),
+    ("allreduce", "C"): ("collect", "collect", ("bucket_collect",), False,
+                         "merge"),
+    ("collect", "M"): ("collect", "kernel", ("mst_gather", "mst_bcast"),
+                       False, "merge"),
+    ("collect", "C"): ("collect", "collect", ("bucket_collect",), False,
+                       "merge"),
+    ("reduce_scatter", "S"): ("reduce-scatter", "reduce-scatter",
+                              ("bucket_reduce_scatter",), False, "split"),
+    ("reduce_scatter", "M"): ("reduce-scatter", "kernel",
+                              ("mst_reduce", "mst_scatter"), False,
+                              "split"),
 }
 
 #: the operations a hybrid strategy runs
-OPERATIONS = tuple(_FAMILY)
+OPERATIONS = tuple(dict.fromkeys(op for op, _ in STAGE_TABLE))
 
 
 def family_ops(operation: str, k: int) -> Tuple[str, str]:
     """The two legal ops strings of ``operation`` over ``k`` dimensions:
     the all-long form (``S^kC^k`` / ``C^k`` / ``S^k``) and the kernel
     form (``S^{k-1}MC^{k-1}`` / ``MC^{k-1}`` / ``S^{k-1}M``)."""
-    try:
-        pre, post = _FAMILY[operation]
-    except KeyError:
+    if operation not in OPERATIONS:
         raise KeyError(f"unknown operation {operation!r}; "
-                       f"known: {OPERATIONS}") from None
+                       f"known: {OPERATIONS}")
+    pre = "S" if (operation, "S") in STAGE_TABLE else ""
+    post = "C" if (operation, "C") in STAGE_TABLE else ""
     return (pre * k + post * k,
             pre * (k - 1) + "M" + post * (k - 1))
 

@@ -251,7 +251,7 @@ class Tracer:
 # ----------------------------------------------------------------------
 
 #: thread id of the stage/span lane inside each rank's process track
-_TID_STAGES = 0
+_TID_SPANS = 0
 #: thread id of the message-transfer lane inside each rank's track
 _TID_MESSAGES = 1
 
@@ -291,7 +291,7 @@ def chrome_trace(tracer: Tracer, timescale: float = 1e6) -> Dict:
                if clock is not None and clock.probes else "")
         events.append({"ph": "M", "pid": rank, "name": "process_name",
                        "args": {"name": f"rank {rank}{unc}"}})
-        events.append({"ph": "M", "pid": rank, "tid": _TID_STAGES,
+        events.append({"ph": "M", "pid": rank, "tid": _TID_SPANS,
                        "name": "thread_name",
                        "args": {"name": "stages"}})
         events.append({"ph": "M", "pid": rank, "tid": _TID_MESSAGES,
@@ -303,19 +303,19 @@ def chrome_trace(tracer: Tracer, timescale: float = 1e6) -> Dict:
         ev = {"name": s.label, "cat": s.phase or "span", "ph": "X",
               "ts": s.t_start * timescale,
               "dur": max(s.t_end - s.t_start, 0.0) * timescale,
-              "pid": s.rank, "tid": _TID_STAGES}
+              "pid": s.rank, "tid": _TID_SPANS}
         if s.attrs:
             ev["args"] = {k: str(v) for k, v in s.attrs.items()}
         events.append(ev)
     for t, rank, label in tracer.marks:
         events.append({"name": label, "cat": "mark", "ph": "i",
                        "ts": t * timescale, "pid": rank,
-                       "tid": _TID_STAGES, "s": "t"})
+                       "tid": _TID_SPANS, "s": "t"})
     for fr in tracer.faults:
         # global instants: faults hit the machine, not one rank
         events.append({"name": f"{fr.kind}: {fr.detail}", "cat": "fault",
                        "ph": "i", "ts": fr.t * timescale,
-                       "pid": 0, "tid": _TID_STAGES, "s": "g"})
+                       "pid": 0, "tid": _TID_SPANS, "s": "g"})
     flow_id = 0
     for m in completed:
         name = f"{m.src}->{m.dst}"

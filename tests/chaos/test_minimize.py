@@ -1,5 +1,9 @@
 """Auto-minimizer: planted failures reduce to <= 4 ranks, same verdict."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
 from repro.chaos.executor import execute_case
@@ -67,3 +71,16 @@ class TestMinimize:
         events = minimal.faults["events"]
         assert any(ev["kind"] == "node-crash"
                    and ev["node"] < minimal.nranks for ev in events)
+
+
+def test_module_runs_without_runpy_warning():
+    """``python -m repro.chaos.minimize`` must not find its module
+    already imported by the ``repro.chaos`` package."""
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                       "..", "..", "src")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m",
+         "repro.chaos.minimize", "--help"],
+        env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr

@@ -327,6 +327,33 @@ class TestPropertyBased:
             assert np.allclose(res, p * (p + 1) / 2)
 
 
+class TestLocalLengthChecked:
+    """A rank whose data disagrees with the group-wide ``sizes`` fails
+    the same way under every strategy, naming its group rank."""
+
+    @pytest.mark.parametrize("s", candidates("collect", 6), ids=str)
+    def test_collect_block(self, s):
+        def prog(env):
+            block = np.ones(3 if env.rank == 2 else 2)
+            return (yield from api.collect(env, block, sizes=[2] * 6,
+                                           algorithm=s))
+
+        with pytest.raises(ValueError, match=r"^rank 2: block has 3 "
+                           r"elements, partition says 2$"):
+            run_linear(6, prog)
+
+    @pytest.mark.parametrize("s", candidates("reduce_scatter", 6), ids=str)
+    def test_reduce_scatter_vector(self, s):
+        def prog(env):
+            vec = np.ones(13 if env.rank == 2 else 12)
+            return (yield from api.reduce_scatter(env, vec, sizes=[2] * 6,
+                                                  algorithm=s))
+
+        with pytest.raises(ValueError, match=r"^rank 2: vector has 13 "
+                           r"elements, partition says 12$"):
+            run_linear(6, prog)
+
+
 #: the span phase the executor records for each operation's stage letter
 STAGE_PHASES = {
     "bcast": {"S": "scatter", "M": "kernel", "C": "collect"},

@@ -3,15 +3,16 @@ heuristics)."""
 
 import pytest
 
-from repro.core import Selector, Strategy, selector_for
-from repro.core.selection import (linear_interleaves, mesh_candidate_dims,
-                                  mesh_interleaves)
+from repro.core import CostModel, Selector, Strategy, selector_for
+from repro.core.selection import mesh_candidate_dims, mesh_interleaves
 from repro.sim import PARAGON, UNIT, MachineParams
 
 
 class TestInterleaves:
     def test_linear(self):
-        assert linear_interleaves((2, 3, 5)) == [1.0, 2.0, 6.0]
+        # dimension i of a linear array interleaves stride_i lines
+        assert CostModel(UNIT).default_conflicts(
+            Strategy((2, 3, 5), "SSSCCC")) == [1.0, 2.0, 6.0]
 
     def test_mesh_row_dims_free_of_column_traffic(self):
         # 16x32 mesh: dims (32, 16) -> within-row stride 1, column stride

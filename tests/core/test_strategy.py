@@ -6,8 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import (Strategy, candidates, family_ops,
-                        ordered_factorizations)
+from repro.core import (CostModel, Strategy, candidates, family_ops,
+                        hybrid, ordered_factorizations)
+from repro.core.strategy import OPERATIONS, STAGE_TABLE
+from repro.sim import UNIT
 
 
 class TestStrategy:
@@ -100,6 +102,30 @@ class TestFamilyValidation:
         assert family_ops("allreduce", 3) == ("SSSCCC", "SSMCC")
         assert family_ops("collect", 3) == ("CCC", "MCC")
         assert family_ops("reduce_scatter", 3) == ("SSS", "SSM")
+
+
+class TestOneStageTable:
+    """``STAGE_TABLE`` is the one statement of what each stage runs: the
+    executor and the pricer both resolve its primitive names."""
+
+    def test_primitives_resolve_in_executor_and_pricer(self):
+        for row in STAGE_TABLE.values():
+            for name in row[2]:
+                assert callable(getattr(hybrid, name)), name
+                assert callable(getattr(CostModel(UNIT), name)), name
+
+    def test_every_legal_letter_has_a_row(self):
+        for op in OPERATIONS:
+            for k in (1, 2, 3):
+                for ops in family_ops(op, k):
+                    assert all((op, letter) in STAGE_TABLE
+                               for letter in ops), (op, ops)
+
+    def test_operations_order(self):
+        # the chaos generator draws from this order; the corpus depends
+        # on it
+        assert OPERATIONS == ("bcast", "reduce", "allreduce", "collect",
+                              "reduce_scatter")
 
 
 class TestStages:
